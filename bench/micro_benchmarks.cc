@@ -6,7 +6,8 @@
 //   (default)      the usual google-benchmark runner and flags
 //   --json[=PATH]  a DETERMINISTIC kernel before/after harness instead:
 //                  times the virtual (TrackingForm) integration path against
-//                  the fused FrozenTrackingForm kernels on one fixed world,
+//                  the fused FrozenTrackingForm kernels on one fixed world —
+//                  healthy boundaries and degraded F-/F+ pairs alike —
 //                  verifies bit-identity, counts warm-path allocations, and
 //                  writes a JsonReport (default BENCH_kernels.json) whose
 //                  schema CI's bench-smoke job validates.
@@ -17,10 +18,12 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/answer_core.h"
 #include "core/framework.h"
 #include "core/live_monitor.h"
 #include "core/query_workspace.h"
 #include "core/workload.h"
+#include "faults/fault_model.h"
 #include "forms/differential_form.h"
 #include "forms/frozen_tracking_form.h"
 #include "forms/region_count.h"
@@ -28,6 +31,7 @@
 #include "graph/shortest_path.h"
 #include "learned/buffered_edge_store.h"
 #include "mobility/road_network.h"
+#include "runtime/batch_query_engine.h"
 #include "sampling/samplers.h"
 #include "util/alloc_probe.h"
 #include "util/flags.h"
@@ -365,7 +369,8 @@ int KernelReport(const util::FlagParser& flags) {
                 static_cast<double>(frozen.IndexBytes()));
 
   // Bit-identity first: the speedup numbers are meaningless if the fused
-  // kernels drift. Any nonzero drift fails the harness (and CI).
+  // kernels drift. Any nonzero drift — here or in the degraded intervals
+  // below — fails the harness (and CI).
   double drift = 0.0;
   for (size_t i = 0; i < boundaries.size(); ++i) {
     const core::RangeQuery& q = *resolved_queries[i];
@@ -376,7 +381,6 @@ int KernelReport(const util::FlagParser& flags) {
         forms::EvaluateTransientCount(frozen, edges, q.t1, q.t2) -
         forms::EvaluateTransientCount(virt, edges, q.t1, q.t2));
   }
-  report.Metric("identity_abs_drift", drift);
 
   // Static-count integration: virtual per-edge CountUpTo vs fused kernel.
   constexpr size_t kReps = 120;
@@ -421,6 +425,61 @@ int KernelReport(const util::FlagParser& flags) {
   report.Metric("transient_count_fused_ns", transient_fused_ns);
   report.Metric("transient_count_speedup_x",
                 transient_virtual_ns / std::max(transient_fused_ns, 1e-9));
+
+  // Degraded static answers: the same regions with 10% of sensors dead,
+  // resolved once into their healthy deformations F-/F+. The answer core
+  // integrates both through the virtual kernels on the TrackingForm vs the
+  // fused kernels on the frozen store, with the serving defaults (no drop
+  // or skew slack) — the path every degraded cache hit takes.
+  faults::FaultOptions fault_options;
+  fault_options.seed = 11;
+  fault_options.dead_sensor_fraction = 0.10;
+  faults::FaultModel health(framework.network(), fault_options);
+  const core::DegradedOptions degraded_options;
+  core::AnswerCore virtual_core(dep.graph(), virt);
+  core::AnswerCore fused_core(dep.graph(), frozen);
+  std::vector<core::ResolvedRegion> degraded_regions;
+  std::vector<const core::RangeQuery*> degraded_queries;
+  core::QueryWorkspace resolve_ws;
+  for (const core::RangeQuery* q : resolved_queries) {
+    core::ResolvedRegion region;
+    fused_core.Resolve(q->junctions, core::BoundMode::kLower, &health,
+                       degraded_options, resolve_ws, &region);
+    if (!region.degraded) continue;
+    degraded_regions.push_back(std::move(region));
+    degraded_queries.push_back(q);
+  }
+  auto degraded_answer = [&](const core::AnswerCore& answer_core, size_t i) {
+    return answer_core.Answer(degraded_regions[i], *degraded_queries[i],
+                              core::CountKind::kStatic,
+                              core::BoundMode::kLower, &degraded_options,
+                              nullptr);
+  };
+  for (size_t i = 0; i < degraded_regions.size(); ++i) {
+    core::QueryAnswer a = degraded_answer(virtual_core, i);
+    core::QueryAnswer b = degraded_answer(fused_core, i);
+    drift += std::abs(a.interval.lo - b.interval.lo) +
+             std::abs(a.interval.hi - b.interval.hi);
+  }
+  report.Metric("identity_abs_drift", drift);
+  report.Metric("degraded_queries",
+                static_cast<double>(degraded_regions.size()));
+  double degraded_virtual_ns =
+      TimePerCallNs(kReps, degraded_regions.size(), [&] {
+        for (size_t i = 0; i < degraded_regions.size(); ++i) {
+          sink += degraded_answer(virtual_core, i).estimate;
+        }
+      });
+  double degraded_fused_ns =
+      TimePerCallNs(kReps, degraded_regions.size(), [&] {
+        for (size_t i = 0; i < degraded_regions.size(); ++i) {
+          sink += degraded_answer(fused_core, i).estimate;
+        }
+      });
+  report.Metric("degraded_static_virtual_ns", degraded_virtual_ns);
+  report.Metric("degraded_static_fused_ns", degraded_fused_ns);
+  report.Metric("degraded_static_speedup_x",
+                degraded_virtual_ns / std::max(degraded_fused_ns, 1e-9));
 
   // Point lookups: CountUpTo virtual binary search vs bucketed frozen scan.
   constexpr size_t kProbes = 1 << 15;
@@ -493,19 +552,44 @@ int KernelReport(const util::FlagParser& flags) {
   const uint64_t warm_allocs = alloc_probe.Delta();
   report.Metric("warm_query_allocs", static_cast<double>(warm_allocs));
 
+  // The engine's degraded cache-hit path: once every degraded region is
+  // cached, answering it must not touch the heap either.
+  runtime::BatchEngineOptions engine_options;
+  engine_options.health = &health;
+  runtime::BatchQueryEngine degraded_engine(dep.graph(), frozen,
+                                            engine_options);
+  for (int round = 0; round < 2; ++round) {
+    for (const core::RangeQuery* q : degraded_queries) {
+      degraded_engine.Answer(*q, core::CountKind::kStatic,
+                             core::BoundMode::kLower);
+    }
+  }
+  util::AllocProbe degraded_probe;
+  for (const core::RangeQuery* q : degraded_queries) {
+    degraded_engine.Answer(*q, core::CountKind::kStatic,
+                           core::BoundMode::kLower);
+  }
+  const uint64_t warm_degraded_allocs = degraded_probe.Delta();
+  report.Metric("warm_degraded_allocs",
+                static_cast<double>(warm_degraded_allocs));
+
   if (sink == -1.0) std::printf("unreachable %f\n", sink);  // Keep sink live.
   std::printf(
       "kernels: static %.1f -> %.1f ns (%.2fx) | transient %.1f -> %.1f ns "
-      "(%.2fx) | lookup %.1f -> %.1f ns (%.2fx) | series %.2f -> %.2f "
-      "ns/step (%.2fx) | drift %g | warm allocs %.0f\n",
+      "(%.2fx) | degraded static %.1f -> %.1f ns (%.2fx) | lookup %.1f -> "
+      "%.1f ns (%.2fx) | series %.2f -> %.2f ns/step (%.2fx) | drift %g | "
+      "warm allocs %.0f (degraded %.0f)\n",
       static_virtual_ns, static_fused_ns,
       static_virtual_ns / std::max(static_fused_ns, 1e-9),
       transient_virtual_ns, transient_fused_ns,
       transient_virtual_ns / std::max(transient_fused_ns, 1e-9),
+      degraded_virtual_ns, degraded_fused_ns,
+      degraded_virtual_ns / std::max(degraded_fused_ns, 1e-9),
       lookup_virtual_ns, lookup_fused_ns,
       lookup_virtual_ns / std::max(lookup_fused_ns, 1e-9), series_virtual_ns,
       series_batch_ns, series_virtual_ns / std::max(series_batch_ns, 1e-9),
-      drift, static_cast<double>(warm_allocs));
+      drift, static_cast<double>(warm_allocs),
+      static_cast<double>(warm_degraded_allocs));
 
   if (drift != 0.0) {
     std::fprintf(stderr, "FAIL: fused kernels drifted from the virtual path "

@@ -1,13 +1,8 @@
 #include "core/degraded.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 #include <utility>
-
-#include "core/query_workspace.h"
-#include "forms/region_count.h"
-#include "util/logging.h"
 
 namespace innet::core {
 
@@ -91,214 +86,50 @@ Deformation Deform(const SampledGraph& sampled, const SensorHealthView& health,
   return result;
 }
 
-// Total crossings (both directions) recorded on `boundary` up to time t.
-double BoundaryActivityUpTo(const forms::EdgeCountStore& store,
-                            const std::vector<forms::BoundaryEdge>& boundary,
-                            double t) {
-  double total = 0.0;
-  for (const forms::BoundaryEdge& be : boundary) {
-    total += store.CountUpTo(be.edge, true, t) +
-             store.CountUpTo(be.edge, false, t);
-  }
-  return total;
-}
-
-// Total crossings (both directions) recorded on `boundary` in (t0, t1].
-double BoundaryActivityInRange(const forms::EdgeCountStore& store,
-                               const std::vector<forms::BoundaryEdge>& boundary,
-                               double t0, double t1) {
-  double total = 0.0;
-  for (const forms::BoundaryEdge& be : boundary) {
-    total += store.CountInRange(be.edge, true, t0, t1) +
-             store.CountInRange(be.edge, false, t0, t1);
-  }
-  return total;
-}
-
-// Bound on boundary crossings LOST to message drop, given the observed
-// (post-drop) activity A: each observed event survived with probability
-// 1-p, so E[lost] = A * p / (1 - p). The bound adds a two-sigma binomial
-// fluctuation margin plus one event of discreteness headroom — the
-// expectation alone misses tail realisations on low-activity boundaries.
-double DropSlack(double observed_activity, double drop_rate_bound) {
-  if (drop_rate_bound <= 0.0) return 0.0;
-  double p = std::min(drop_rate_bound, 0.999);
-  double expected = observed_activity * p / (1.0 - p);
-  return expected + 2.0 * std::sqrt(expected) + 1.0;
-}
-
-// Crossings whose true time may lie on the other side of `t` once clocks
-// skew by up to `s` seconds: everything recorded in [t - s, t + s].
-double SkewSlack(const forms::EdgeCountStore& store,
-                 const std::vector<forms::BoundaryEdge>& boundary, double t,
-                 double s) {
-  if (s <= 0.0) return 0.0;
-  return BoundaryActivityInRange(store, boundary, t - s, t + s);
-}
-
 }  // namespace
 
-DegradedBoundary ResolveDegradedBoundary(const SampledGraph& sampled,
-                                         const std::vector<uint32_t>& faces,
-                                         const SensorHealthView& health,
-                                         const DegradedOptions& options) {
-  DegradedBoundary result;
-  if (faces.empty()) {
-    result.missed = true;
-    return result;
-  }
+void ResolveDegradedBoundary(const SampledGraph& sampled,
+                             const SensorHealthView& health,
+                             const DegradedOptions& options,
+                             QueryWorkspace& ws, ResolvedRegion* region) {
   const SensorNetwork& network = sampled.network();
-  QueryWorkspace& ws = LocalWorkspace();
-  sampled.BoundaryOfFaces(faces, ws);
-
   std::unordered_set<graph::EdgeId> dead_seen;
-  for (const forms::BoundaryEdge& be : ws.boundary_edges) {
+  for (const forms::BoundaryEdge& be : region->boundary.edges) {
     if (EdgeIsDead(network, health, be.edge)) dead_seen.insert(be.edge);
   }
-  result.dead_boundary_edges = dead_seen.size();
-  result.boundary.edges = ws.boundary_edges;
-  result.boundary.sensors = ws.boundary_sensors;
-  if (dead_seen.empty()) return result;
-  result.degraded = true;
+  region->dead_boundary_edges = dead_seen.size();
+  if (dead_seen.empty()) return;
+  region->degraded = true;
 
+  const std::vector<uint32_t>& faces = region->faces;
   size_t cap = options.max_deformation_faces;
   Deformation outer =
       Deform(sampled, health, faces, /*outward=*/true, cap, &dead_seen, ws);
   Deformation inner =
       Deform(sampled, health, faces, /*outward=*/false, cap, &dead_seen, ws);
 
-  result.absorbed_faces = outer.faces_changed;
-  result.shed_faces = inner.faces_changed;
+  size_t absorbed = outer.faces_changed;
   if (outer.gave_up) {
     // Fall back to the whole domain: its boundary (the ⋆v_ext virtual edges
     // of every gateway) is always healthy and trivially contains the region.
     std::vector<uint32_t> all(sampled.NumFaces());
     for (uint32_t f = 0; f < sampled.NumFaces(); ++f) all[f] = f;
-    result.outer = sampled.BoundaryOfFaces(all);
-    result.absorbed_faces = all.size() - faces.size();
+    sampled.BoundaryOfFaces(all, ws);
+    region->outer = {ws.boundary_edges, ws.boundary_sensors};
+    absorbed = all.size() - faces.size();
   } else {
-    result.outer = std::move(outer.boundary);
+    region->outer = std::move(outer.boundary);
   }
+  size_t shed = inner.faces_changed;
   if (inner.gave_up || inner.faces.empty()) {
-    result.inner_empty = true;
-    result.shed_faces = faces.size();
+    region->inner_empty = true;
+    region->inner = {};
+    shed = faces.size();
   } else {
-    result.inner = std::move(inner.boundary);
+    region->inner = std::move(inner.boundary);
   }
-  result.dead_edges_total = dead_seen.size();
-  return result;
-}
-
-QueryAnswer AnswerFromDegradedBoundary(const forms::EdgeCountStore& store,
-                                       const DegradedBoundary& resolved,
-                                       const RangeQuery& query, CountKind kind,
-                                       const DegradedOptions& options) {
-  QueryAnswer answer;
-  if (resolved.missed) {
-    answer.missed = true;
-    return answer;
-  }
-
-  if (!resolved.degraded) {
-    // Healthy boundary, but the channel itself may still be lossy: drop and
-    // skew slack apply to every answer, not only rerouted ones.
-    const SampledGraph::RegionBoundary& boundary = resolved.boundary;
-    double slack = 0.0;
-    if (kind == CountKind::kStatic) {
-      answer.estimate =
-          forms::EvaluateStaticCount(store, boundary.edges, query.t2);
-      slack = DropSlack(BoundaryActivityUpTo(store, boundary.edges, query.t2),
-                        options.drop_rate_bound) +
-              SkewSlack(store, boundary.edges, query.t2,
-                        options.clock_skew_bound);
-    } else {
-      answer.estimate = forms::EvaluateTransientCount(store, boundary.edges,
-                                                      query.t1, query.t2);
-      slack = DropSlack(BoundaryActivityInRange(store, boundary.edges,
-                                                query.t1, query.t2),
-                        options.drop_rate_bound) +
-              SkewSlack(store, boundary.edges, query.t1,
-                        options.clock_skew_bound) +
-              SkewSlack(store, boundary.edges, query.t2,
-                        options.clock_skew_bound);
-    }
-    answer.interval = {answer.estimate - slack, answer.estimate + slack};
-    if (kind == CountKind::kStatic) {
-      answer.interval = answer.interval.ClampedBelow(0.0);
-    }
-    answer.nodes_accessed = boundary.sensors.size();
-    answer.edges_accessed = boundary.edges.size();
-    return answer;
-  }
-
-  answer.degraded = true;
-  answer.dead_boundary_edges = resolved.dead_boundary_edges;
-  answer.rerouted_faces = resolved.absorbed_faces + resolved.shed_faces;
-
-  const std::vector<forms::BoundaryEdge>& outer = resolved.outer.edges;
-  const std::vector<forms::BoundaryEdge>& inner = resolved.inner.edges;
-  double p = options.drop_rate_bound;
-  double s = options.clock_skew_bound;
-
-  double lo = 0.0;
-  double hi = 0.0;
-  double slack_lo = 0.0;
-  double slack_hi = 0.0;
-  if (kind == CountKind::kStatic) {
-    // Static occupancy is monotone under region inclusion, so the counts of
-    // F- and F+ bracket the fault-free count of F exactly (given healthy
-    // data); drop/skew slack covers the healthy channel's own losses.
-    hi = forms::EvaluateStaticCount(store, outer, query.t2);
-    lo = resolved.inner_empty
-             ? 0.0
-             : forms::EvaluateStaticCount(store, inner, query.t2);
-    if (lo > hi) std::swap(lo, hi);
-    slack_hi = DropSlack(BoundaryActivityUpTo(store, outer, query.t2), p) +
-               SkewSlack(store, outer, query.t2, s);
-    slack_lo =
-        resolved.inner_empty
-            ? 0.0
-            : DropSlack(BoundaryActivityUpTo(store, inner, query.t2), p) +
-                  SkewSlack(store, inner, query.t2, s);
-  } else {
-    // Transient (net change) counts are not monotone in the region; bracket
-    // with both deformations and widen by the traffic the dead edges could
-    // have carried in the window (expected-rate bound), plus the healthy
-    // channel slack. Heuristic rather than exact — see docs/FAULTS.md.
-    double c_out =
-        forms::EvaluateTransientCount(store, outer, query.t1, query.t2);
-    double c_in = resolved.inner_empty
-                      ? 0.0
-                      : forms::EvaluateTransientCount(store, inner, query.t1,
-                                                      query.t2);
-    lo = std::min(c_out, c_in);
-    hi = std::max(c_out, c_in);
-    double dead_traffic = static_cast<double>(resolved.dead_edges_total) *
-                          options.dead_edge_rate_bound *
-                          (query.t2 - query.t1);
-    double channel =
-        DropSlack(BoundaryActivityInRange(store, outer, query.t1, query.t2),
-                  p) +
-        SkewSlack(store, outer, query.t1, s) +
-        SkewSlack(store, outer, query.t2, s);
-    slack_lo = slack_hi = dead_traffic + channel;
-  }
-
-  answer.interval = {lo - slack_lo, hi + slack_hi};
-  if (kind == CountKind::kStatic) {
-    answer.interval = answer.interval.ClampedBelow(0.0);
-  }
-  answer.estimate = 0.5 * (lo + hi);
-
-  // Cost accounting: both deformed boundaries are dispatched.
-  std::vector<graph::NodeId> sensors = resolved.outer.sensors;
-  sensors.insert(sensors.end(), resolved.inner.sensors.begin(),
-                 resolved.inner.sensors.end());
-  std::sort(sensors.begin(), sensors.end());
-  sensors.erase(std::unique(sensors.begin(), sensors.end()), sensors.end());
-  answer.nodes_accessed = sensors.size();
-  answer.edges_accessed = outer.size() + inner.size();
-  return answer;
+  region->rerouted_faces = absorbed + shed;
+  region->dead_edges_total = dead_seen.size();
 }
 
 }  // namespace innet::core

@@ -16,66 +16,29 @@
 // Both deformations move the boundary homologously — across whole faces —
 // so the deformed boundaries stay unions of monitored edges. Static
 // occupancy is monotone under region inclusion, so the fault-free count of
-// F is bracketed by the counts of F- and F+; the reported interval widens
-// further by the missed-crossing slack of the healthy channel (message
-// loss, clock skew). See AnswerFromDegradedBoundary for the exact terms.
+// F is bracketed by the counts of F- and F+; AnswerCore::Answer
+// (core/answer_core.h) integrates both and widens the interval by the
+// missed-crossing slack of the healthy channel (message loss, clock skew).
 #ifndef INNET_CORE_DEGRADED_H_
 #define INNET_CORE_DEGRADED_H_
 
-#include <vector>
-
 #include "core/health.h"
-#include "core/query.h"
+#include "core/query_workspace.h"
+#include "core/resolved_region.h"
 #include "core/sampled_graph.h"
-#include "forms/edge_count_store.h"
 
 namespace innet::core {
 
-/// A region resolved under a health view: the fault-free boundary plus, when
-/// it touched dead edges, the two healthy deformations bracketing it.
-struct DegradedBoundary {
-  /// No face of G̃ satisfied the bound mode (same semantics as QueryAnswer).
-  bool missed = false;
-  /// At least one boundary edge (original or exposed while rerouting) was
-  /// owned by a failed sensor; `outer`/`inner` are then populated.
-  bool degraded = false;
-
-  /// The fault-free resolution (always populated unless missed).
-  SampledGraph::RegionBoundary boundary;
-
-  /// Healthy boundary of the outward deformation F+ ⊇ F.
-  SampledGraph::RegionBoundary outer;
-  /// Healthy boundary of the inward deformation F- ⊆ F. Meaningless when
-  /// `inner_empty` — the deformation shed every face (count lower bound 0).
-  SampledGraph::RegionBoundary inner;
-  bool inner_empty = false;
-
-  /// Dead edges on the ORIGINAL boundary.
-  size_t dead_boundary_edges = 0;
-  /// Distinct dead edges encountered across all rerouting rounds.
-  size_t dead_edges_total = 0;
-  /// Faces absorbed by the outward deformation.
-  size_t absorbed_faces = 0;
-  /// Faces shed by the inward deformation.
-  size_t shed_faces = 0;
-};
-
-/// Resolves the union of `faces` under `health`. With no failed owner on
-/// any boundary edge the result is exactly the fault-free boundary
-/// (degraded == false) and the deformations are skipped.
-DegradedBoundary ResolveDegradedBoundary(const SampledGraph& sampled,
-                                         const std::vector<uint32_t>& faces,
-                                         const SensorHealthView& health,
-                                         const DegradedOptions& options);
-
-/// Evaluates one query over a resolved degraded boundary. Fault-free
-/// resolutions produce the ordinary point answer with a degenerate
-/// interval; degraded ones produce the bracketing interval, with the
-/// estimate at its pre-slack midpoint.
-QueryAnswer AnswerFromDegradedBoundary(const forms::EdgeCountStore& store,
-                                       const DegradedBoundary& resolved,
-                                       const RangeQuery& query, CountKind kind,
-                                       const DegradedOptions& options);
+/// Deforms a resolved region around failed sensors. Expects `region->faces`
+/// and their fault-free boundary `region->boundary` in place. When no edge
+/// of F has a failed owner under `health` the region stays healthy
+/// (degraded == false) and nothing is deformed; otherwise marks it degraded
+/// and fills F+ (`outer`), F- (`inner`, or `inner_empty`), and the dead-edge
+/// and reroute counts. `ws` is scratch.
+void ResolveDegradedBoundary(const SampledGraph& sampled,
+                             const SensorHealthView& health,
+                             const DegradedOptions& options,
+                             QueryWorkspace& ws, ResolvedRegion* region);
 
 }  // namespace innet::core
 

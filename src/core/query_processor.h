@@ -3,13 +3,13 @@
 #ifndef INNET_CORE_QUERY_PROCESSOR_H_
 #define INNET_CORE_QUERY_PROCESSOR_H_
 
+#include "core/answer_core.h"
 #include "core/health.h"
 #include "core/query.h"
 #include "core/query_workspace.h"
 #include "core/sampled_graph.h"
 #include "core/sensor_network.h"
 #include "forms/edge_count_store.h"
-#include "forms/frozen_tracking_form.h"
 #include "forms/store_handle.h"
 #include "obs/explain.h"
 #include "obs/trace.h"
@@ -17,16 +17,15 @@
 namespace innet::core {
 
 /// Answers queries on a sampled graph against any edge-count store (exact
-/// tracking forms or learned models). Holds references only; the graph and
-/// store must outlive the processor.
-///
-/// When the store is (dynamically) a forms::FrozenTrackingForm the
-/// processor integrates through the devirtualized fused kernels — detected
-/// once at construction, answers stay bit-identical (docs/PERFORMANCE.md).
+/// tracking forms or learned models): the serial wrapper of AnswerCore
+/// (core/answer_core.h), whose StoreView runs the fused kernels whenever
+/// the store is a forms::FrozenTrackingForm. Holds references only; the
+/// graph and store must outlive the processor.
 class SampledQueryProcessor {
  public:
   SampledQueryProcessor(const SampledGraph& sampled,
-                        const forms::EdgeCountStore& store);
+                        const forms::EdgeCountStore& store)
+      : core_(sampled, store) {}
 
   /// Handle mode (live ingestion): the processor follows the store
   /// published through `handle` — every Answer* call re-checks the
@@ -36,7 +35,8 @@ class SampledQueryProcessor {
   /// processor is single-threaded; give each reader thread its own (they
   /// share the handle).
   SampledQueryProcessor(const SampledGraph& sampled,
-                        const forms::FrozenStoreHandle& handle);
+                        const forms::FrozenStoreHandle& handle)
+      : core_(sampled, handle) {}
 
   /// Approximates the query under the given bound mode. A miss (no face of
   /// G̃ satisfies the bound) reports estimate 0 with missed = true.
@@ -83,42 +83,18 @@ class SampledQueryProcessor {
                                    size_t steps) const;
 
  private:
-  /// Re-acquires the handle's store when its generation moved (no-op in
-  /// plain store mode). Called at the top of every Answer* entry point;
-  /// `mutable` because following the published store is not an observable
-  /// state change — answers are those of the current store either way.
-  void RefreshStore() const;
+  /// Both Answer entry points: resolve into the workspace's region, answer
+  /// through the core, account. `options` is non-null iff `health` is.
+  QueryAnswer AnswerServed(const RangeQuery& query, CountKind kind,
+                           BoundMode bound, const SensorHealthView* health,
+                           const DegradedOptions* options,
+                           obs::QueryTrace* trace, obs::ExplainRecord* explain,
+                           QueryWorkspace& ws) const;
 
-  const SampledGraph* sampled_;
-  mutable const forms::EdgeCountStore* store_;
-  // Non-null when store_ is a frozen tracking form (fused-kernel path).
-  mutable const forms::FrozenTrackingForm* frozen_;
-  // Handle mode only: the followed handle and the pinned snapshot.
-  const forms::FrozenStoreHandle* handle_ = nullptr;
-  mutable forms::FrozenStoreHandle::Snapshot snapshot_;
-  // Cost-profile classification, latched at construction: store family
-  // (0 exact / 1 learned) and the deployment's total junction cells for
-  // region-size deciles.
-  uint8_t store_kind_ = 0;
-  size_t total_cells_ = 0;
+  // `mutable` only so the const entry points can follow a published store:
+  // answers are those of the current store either way.
+  mutable AnswerCore core_;
 };
-
-/// Fills the resolution-side provenance fields of `explain` (kind, bound,
-/// faces sorted ascending, region/resolved cell counts, dead-space
-/// fraction, store provenance). Shared by SampledQueryProcessor and
-/// runtime::BatchQueryEngine so cached and fresh resolutions explain
-/// identically. `explain` must be non-null.
-void FillExplainResolution(const SampledGraph& sampled,
-                           const RangeQuery& query, CountKind kind,
-                           BoundMode bound,
-                           const std::vector<uint32_t>& faces,
-                           const forms::EdgeCountStore& store,
-                           obs::ExplainRecord* explain);
-
-/// Mirrors the answer-side fields of `answer` into `explain` (estimate,
-/// interval, miss/degraded flags, reroute counts). Timing fields are
-/// deliberately NOT copied — explain output stays deterministic.
-void FillExplainAnswer(const QueryAnswer& answer, obs::ExplainRecord* explain);
 
 /// Exact processor over the full sensing graph. Per §5.4, the unsampled
 /// system floods every sensor inside the query region, so nodes_accessed

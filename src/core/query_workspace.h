@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/resolved_region.h"
 #include "forms/region_count.h"
 #include "graph/planar_graph.h"
 #include "obs/query_cost.h"
@@ -75,6 +76,8 @@ class QueryWorkspace {
   std::vector<graph::NodeId> boundary_sensors;
   /// AnswerSeries output buffer.
   std::vector<double> series;
+  /// The serial processor's resolved region (core/answer_core.h).
+  ResolvedRegion region;
 
   /// Cost account of the LAST query answered through this workspace
   /// (docs/OBSERVABILITY.md §9). The processors overwrite it wholesale per

@@ -107,15 +107,11 @@ class SampledGraph {
   void UpperBoundFaces(const std::vector<graph::NodeId>& qr_junctions,
                        QueryWorkspace& ws) const;
 
-  /// Boundary of a union of G̃ faces: the monitored edges to integrate over
-  /// plus the distinct sensors (dual nodes) that must be contacted. The
+  /// Boundary of a union of G̃ faces (core/resolved_region.h). The
   /// computation is region-local — it touches only the listed faces'
   /// incident monitored edges, mirroring the in-network dispatch that never
   /// leaves the query region's perimeter.
-  struct RegionBoundary {
-    std::vector<forms::BoundaryEdge> edges;
-    std::vector<graph::NodeId> sensors;
-  };
+  using RegionBoundary = core::RegionBoundary;
   RegionBoundary BoundaryOfFaces(const std::vector<uint32_t>& faces) const;
 
   /// Allocation-free variant: fills `ws.boundary_edges` and

@@ -225,39 +225,17 @@ void DCheckAscending(const double* times, size_t count) {
 // prefetch pipeline a long runway.
 constexpr size_t kEdgeChunk = 128;
 
-}  // namespace
-
-double EvaluateStaticCount(const FrozenTrackingForm& store,
-                           const std::vector<BoundaryEdge>& boundary,
-                           double t) {
-  // Counts are integers well inside double's exact range, so the running
-  // sum is exact and matches the virtual path bit-for-bit.
-  double total = 0.0;
-  size_t slots[2 * kEdgeChunk];
-  size_t counts[2 * kEdgeChunk];
-  size_t num_edges = boundary.size();
-  for (size_t base = 0; base < num_edges; base += kEdgeChunk) {
-    size_t m = std::min(kEdgeChunk, num_edges - base);
-    for (size_t j = 0; j < m; ++j) {
-      const BoundaryEdge& b = boundary[base + j];
-      slots[2 * j] = FrozenTrackingForm::Slot(b.edge, b.inward_is_forward);
-      slots[2 * j + 1] =
-          FrozenTrackingForm::Slot(b.edge, !b.inward_is_forward);
-    }
-    store.CountUpToSlots(slots, 2 * m, t, counts);
-    for (size_t j = 0; j < m; ++j) {
-      total += static_cast<double>(counts[2 * j]);
-      total -= static_cast<double>(counts[2 * j + 1]);
-    }
-  }
-  return total;
-}
-
-double EvaluateTransientCount(const FrozenTrackingForm& store,
-                              const std::vector<BoundaryEdge>& boundary,
-                              double t0, double t1) {
-  // Mirrors EdgeCountStore::CountInRange term by term: the virtual path
-  // accumulates (in(t1) - in(t0)) - (out(t1) - out(t0)) per edge.
+// Sums, over the boundary edges, [in(t1) - in(t0)] + kOutSign * [out(t1) -
+// out(t0)], where "in"/"out" are each edge's inward and outward slots;
+// without kRanged the t0 terms drop out (counts up to t1). kOutSign -1
+// integrates the tracking form (Thms 4.2-4.3), +1 sums raw crossing
+// activity. Chunked through the prefetch-pipelined CountUpToSlots. Counts
+// are integers well inside double's exact range, so every partial sum is
+// exact and the result matches the virtual per-edge path bit-for-bit.
+template <bool kRanged, int kOutSign>
+double SumBoundarySlots(const FrozenTrackingForm& store,
+                        const std::vector<BoundaryEdge>& boundary, double t0,
+                        double t1) {
   double total = 0.0;
   size_t slots[2 * kEdgeChunk];
   size_t at_t1[2 * kEdgeChunk];
@@ -272,15 +250,51 @@ double EvaluateTransientCount(const FrozenTrackingForm& store,
           FrozenTrackingForm::Slot(b.edge, !b.inward_is_forward);
     }
     store.CountUpToSlots(slots, 2 * m, t1, at_t1);
-    store.CountUpToSlots(slots, 2 * m, t0, at_t0);
+    if constexpr (kRanged) store.CountUpToSlots(slots, 2 * m, t0, at_t0);
     for (size_t j = 0; j < m; ++j) {
-      total += static_cast<double>(at_t1[2 * j]) -
-               static_cast<double>(at_t0[2 * j]);
-      total -= static_cast<double>(at_t1[2 * j + 1]) -
-               static_cast<double>(at_t0[2 * j + 1]);
+      double in = static_cast<double>(at_t1[2 * j]);
+      double out = static_cast<double>(at_t1[2 * j + 1]);
+      if constexpr (kRanged) {
+        in -= static_cast<double>(at_t0[2 * j]);
+        out -= static_cast<double>(at_t0[2 * j + 1]);
+      }
+      total += in;
+      if constexpr (kOutSign < 0) {
+        total -= out;
+      } else {
+        total += out;
+      }
     }
   }
   return total;
+}
+
+}  // namespace
+
+double EvaluateStaticCount(const FrozenTrackingForm& store,
+                           const std::vector<BoundaryEdge>& boundary,
+                           double t) {
+  return SumBoundarySlots<false, -1>(store, boundary, 0.0, t);
+}
+
+double EvaluateTransientCount(const FrozenTrackingForm& store,
+                              const std::vector<BoundaryEdge>& boundary,
+                              double t0, double t1) {
+  // Mirrors EdgeCountStore::CountInRange term by term: the virtual path
+  // accumulates (in(t1) - in(t0)) - (out(t1) - out(t0)) per edge.
+  return SumBoundarySlots<true, -1>(store, boundary, t0, t1);
+}
+
+double EvaluateBoundaryActivity(const FrozenTrackingForm& store,
+                                const std::vector<BoundaryEdge>& boundary,
+                                double t) {
+  return SumBoundarySlots<false, 1>(store, boundary, 0.0, t);
+}
+
+double EvaluateBoundaryActivity(const FrozenTrackingForm& store,
+                                const std::vector<BoundaryEdge>& boundary,
+                                double t0, double t1) {
+  return SumBoundarySlots<true, 1>(store, boundary, t0, t1);
 }
 
 namespace {

@@ -258,6 +258,18 @@ double EvaluateTransientCount(const FrozenTrackingForm& store,
                               const std::vector<BoundaryEdge>& boundary,
                               double t0, double t1);
 
+/// Fused boundary activity: crossings in BOTH directions recorded on
+/// `boundary` up to t — the observed traffic degraded answering's drop
+/// slack scales with. Bit-identical to the EdgeCountStore overload.
+double EvaluateBoundaryActivity(const FrozenTrackingForm& store,
+                                const std::vector<BoundaryEdge>& boundary,
+                                double t);
+
+/// Fused boundary activity over (t0, t1].
+double EvaluateBoundaryActivity(const FrozenTrackingForm& store,
+                                const std::vector<BoundaryEdge>& boundary,
+                                double t0, double t1);
+
 /// Batch static-count kernel: evaluates the boundary at `count` query times
 /// in ASCENDING order, writing out[k] = static count at times[k]. One merge
 /// pass per (edge, direction) — each slot's event array is walked once for

@@ -40,4 +40,26 @@ double EvaluateTransientCount(const EdgeCountStore& store,
   return total;
 }
 
+double EvaluateBoundaryActivity(const EdgeCountStore& store,
+                                const std::vector<BoundaryEdge>& boundary,
+                                double t) {
+  double total = 0.0;
+  for (const BoundaryEdge& b : boundary) {
+    total += store.CountUpTo(b.edge, true, t) +
+             store.CountUpTo(b.edge, false, t);
+  }
+  return total;
+}
+
+double EvaluateBoundaryActivity(const EdgeCountStore& store,
+                                const std::vector<BoundaryEdge>& boundary,
+                                double t0, double t1) {
+  double total = 0.0;
+  for (const BoundaryEdge& b : boundary) {
+    total += store.CountInRange(b.edge, true, t0, t1) +
+             store.CountInRange(b.edge, false, t0, t1);
+  }
+  return total;
+}
+
 }  // namespace innet::forms

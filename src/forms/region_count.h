@@ -65,6 +65,18 @@ double EvaluateTransientCount(const EdgeCountStore& store,
                               const std::vector<BoundaryEdge>& boundary,
                               double t0, double t1);
 
+/// Boundary activity: crossings in BOTH directions recorded on `boundary`
+/// up to time t, regardless of which way they cross (degraded answering
+/// widens intervals by a multiple of it, docs/FAULTS.md §3).
+double EvaluateBoundaryActivity(const EdgeCountStore& store,
+                                const std::vector<BoundaryEdge>& boundary,
+                                double t);
+
+/// Boundary activity over (t0, t1].
+double EvaluateBoundaryActivity(const EdgeCountStore& store,
+                                const std::vector<BoundaryEdge>& boundary,
+                                double t0, double t1);
+
 }  // namespace innet::forms
 
 #endif  // INNET_FORMS_REGION_COUNT_H_

@@ -84,6 +84,7 @@
 
 // Core framework.
 #include "core/adaptive_weights.h" // IWYU pragma: export
+#include "core/answer_core.h"      // IWYU pragma: export
 #include "core/budget_planner.h"   // IWYU pragma: export
 #include "core/cost_model.h"       // IWYU pragma: export
 #include "core/dead_space.h"       // IWYU pragma: export
@@ -95,6 +96,7 @@
 #include "core/live_monitor.h"     // IWYU pragma: export
 #include "core/query.h"            // IWYU pragma: export
 #include "core/query_processor.h"  // IWYU pragma: export
+#include "core/resolved_region.h"  // IWYU pragma: export
 #include "core/sampled_graph.h"    // IWYU pragma: export
 #include "core/sensor_network.h"   // IWYU pragma: export
 #include "core/workload.h"         // IWYU pragma: export

@@ -1,46 +1,27 @@
 #include "runtime/batch_query_engine.h"
 
 #include <cmath>
-#include <cstring>
 #include <utility>
 
-#include "forms/region_count.h"
 #include "obs/flight_recorder.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace innet::runtime {
 
-namespace {
-
-// Cost-profile store classification (0 exact / 1 learned), resolved once
-// per construction / store swap so AnswerOne never calls Provenance().
-uint8_t StoreKindOf(const forms::EdgeCountStore& store) {
-  return std::strcmp(store.Provenance().kind, "exact") == 0 ? 0 : 1;
-}
-
-}  // namespace
-
 BatchQueryEngine::BatchQueryEngine(const core::SampledGraph& sampled,
                                    const forms::EdgeCountStore& store,
                                    const BatchEngineOptions& options)
-    : BatchQueryEngine(sampled, &store, nullptr, options) {}
+    : BatchQueryEngine(core::AnswerCore(sampled, store), options) {}
 
 BatchQueryEngine::BatchQueryEngine(const core::SampledGraph& sampled,
                                    const forms::FrozenStoreHandle& handle,
                                    const BatchEngineOptions& options)
-    : BatchQueryEngine(sampled, nullptr, &handle, options) {}
+    : BatchQueryEngine(core::AnswerCore(sampled, handle), options) {}
 
-BatchQueryEngine::BatchQueryEngine(const core::SampledGraph& sampled,
-                                   const forms::EdgeCountStore* store,
-                                   const forms::FrozenStoreHandle* handle,
+BatchQueryEngine::BatchQueryEngine(core::AnswerCore core,
                                    const BatchEngineOptions& options)
-    : sampled_(&sampled),
-      store_(store),
-      frozen_(store != nullptr
-                  ? dynamic_cast<const forms::FrozenTrackingForm*>(store)
-                  : nullptr),
-      store_handle_(handle),
+    : core_(std::move(core)),
       health_(options.health),
       degraded_options_(options.degraded),
       tracer_(options.tracer),
@@ -79,17 +60,8 @@ BatchQueryEngine::BatchQueryEngine(const core::SampledGraph& sampled,
              &registry_->GetCounter("innet_cache_misses",
                                     "Boundary-cache lookup misses")),
       pool_(options.num_threads) {
-  if (store_handle_ != nullptr) {
-    store_snapshot_ = store_handle_->Acquire();
-    INNET_CHECK(store_snapshot_.store != nullptr);
-    frozen_ = store_snapshot_.store.get();
-    store_ = frozen_;
-  }
   digest_ = options.digest;
   slowlog_ = options.slowlog;
-  store_kind_ = StoreKindOf(*store_);
-  decile_buckets_ =
-      obs::RegionDecileBuckets(sampled_->network().mobility().NumNodes());
   if (health_ != nullptr) {
     last_health_generation_.store(health_->Generation(),
                                   std::memory_order_relaxed);
@@ -101,7 +73,7 @@ BatchQueryEngine::BatchQueryEngine(const core::SampledGraph& sampled,
       "Shadow checks dropped because the shadow queue was at its budget");
   if (accuracy_ != nullptr) {
     shadow_processor_ = std::make_unique<core::UnsampledQueryProcessor>(
-        sampled_->network());
+        core_.sampled().network());
     shadow_thread_ = std::thread([this] { ShadowLoop(); });
   }
 }
@@ -117,86 +89,30 @@ BatchQueryEngine::~BatchQueryEngine() {
   }
 }
 
-std::shared_ptr<const ResolvedBoundary> BatchQueryEngine::Resolve(
+std::shared_ptr<const core::ResolvedRegion> BatchQueryEngine::Resolve(
     const core::RangeQuery& query, core::BoundMode bound,
     obs::QueryTrace* trace, bool* was_cache_hit) {
-  if (was_cache_hit != nullptr) *was_cache_hit = false;
+  *was_cache_hit = false;
   RegionSignature key = SignRegion(query.junctions, bound);
   {
     obs::Span span(trace, "cache_lookup");
-    if (std::shared_ptr<const ResolvedBoundary> hit = cache_.Lookup(key)) {
+    if (std::shared_ptr<const core::ResolvedRegion> hit = cache_.Lookup(key)) {
       if (trace != nullptr) trace->Annotate("cache_hit", 1.0);
-      if (was_cache_hit != nullptr) *was_cache_hit = true;
+      *was_cache_hit = true;
       return hit;
     }
   }
   if (trace != nullptr) trace->Annotate("cache_hit", 0.0);
   obs::Span span(trace, "boundary_resolution");
-  // Cold path: resolve through the calling worker's thread-local workspace,
-  // then copy into an OWNED immutable entry — cached boundaries must not
-  // alias mutable scratch. The copies are the cold path's only allocations;
-  // a warm (cache-hit) query never reaches here.
-  auto resolved = std::make_shared<ResolvedBoundary>();
-  core::QueryWorkspace& ws = core::LocalWorkspace();
-  if (bound == core::BoundMode::kLower) {
-    sampled_->LowerBoundFaces(query.junctions, ws);
-  } else {
-    sampled_->UpperBoundFaces(query.junctions, ws);
-  }
-  if (ws.faces.empty()) {
-    resolved->missed = true;
-  } else if (health_ != nullptr) {
-    obs::Span reroute(trace, "degraded_reroute");
-    auto degraded = std::make_shared<core::DegradedBoundary>(
-        core::ResolveDegradedBoundary(*sampled_, ws.faces, *health_,
-                                      degraded_options_));
-    resolved->boundary = degraded->boundary;
-    resolved->degraded = std::move(degraded);
-  } else {
-    sampled_->BoundaryOfFaces(ws.faces, ws);
-    resolved->boundary.edges = ws.boundary_edges;
-    resolved->boundary.sensors = ws.boundary_sensors;
-  }
-  resolved->faces = ws.faces;
-  if (frozen_ != nullptr) {
-    // Precompute the boundary's stored-timestamp footprint here, on the
-    // cold path, so warm cache hits fill their cost profile for free.
-    uint64_t timestamps = 0;
-    for (const forms::BoundaryEdge& e : resolved->boundary.edges) {
-      timestamps += frozen_->EventCount(e.edge, true);
-      timestamps += frozen_->EventCount(e.edge, false);
-    }
-    resolved->stored_timestamps = timestamps;
-  }
+  // Cold path: resolve through the calling worker's thread-local workspace
+  // into an OWNED immutable entry — cached regions must not alias mutable
+  // scratch. The copies are the cold path's only allocations; a warm
+  // (cache-hit) query never reaches here.
+  auto resolved = std::make_shared<core::ResolvedRegion>();
+  core_.Resolve(query.junctions, bound, health_, degraded_options_,
+                core::LocalWorkspace(), resolved.get(), trace);
   cache_.Insert(key, resolved);
   return resolved;
-}
-
-void BatchQueryEngine::SyncStoreGeneration() {
-  if (store_handle_ == nullptr) return;
-  if (store_handle_->Generation() == store_snapshot_.generation) return;
-  store_snapshot_ = store_handle_->Acquire();
-  frozen_ = store_snapshot_.store.get();
-  store_ = frozen_;
-  store_kind_ = StoreKindOf(*store_);
-  // Conservative flush: no boundary resolved against the previous
-  // generation survives the swap, mirroring the health-generation path.
-  cache_.Clear();
-  store_invalidations_->Increment();
-  obs::FlightRecorder::Global().Note(
-      "engine", "attach_generation",
-      static_cast<double>(store_snapshot_.generation));
-}
-
-void BatchQueryEngine::SyncHealthGeneration() {
-  if (health_ == nullptr) return;
-  uint64_t generation = health_->Generation();
-  uint64_t previous = last_health_generation_.exchange(
-      generation, std::memory_order_relaxed);
-  if (previous != generation) {
-    cache_.Clear();
-    health_invalidations_->Increment();
-  }
 }
 
 core::QueryAnswer BatchQueryEngine::AnswerOne(const core::RangeQuery& query,
@@ -206,10 +122,9 @@ core::QueryAnswer BatchQueryEngine::AnswerOne(const core::RangeQuery& query,
   std::unique_ptr<obs::QueryTrace> trace =
       tracer_ != nullptr ? tracer_->StartQuery() : nullptr;
   util::Timer timer;
-  core::QueryAnswer answer;
   bool cache_hit = false;
   const bool profiling = digest_ != nullptr || slowlog_ != nullptr;
-  std::shared_ptr<const ResolvedBoundary> resolved =
+  std::shared_ptr<const core::ResolvedRegion> resolved =
       Resolve(query, bound, trace.get(), &cache_hit);
   // Stage checkpoint for the cost profile — one clock read, taken only
   // when a digest table or slow log is listening AND the resolution did
@@ -217,77 +132,37 @@ core::QueryAnswer BatchQueryEngine::AnswerOne(const core::RangeQuery& query,
   // zero keeps the warmest path free of the extra clock read.
   double resolve_micros =
       profiling && !cache_hit ? timer.ElapsedMicros() : 0.0;
-  if (explain != nullptr) {
-    core::FillExplainResolution(*sampled_, query, kind, bound, resolved->faces,
-                                *store_, explain);
-    explain->cache_used = cache_enabled_;
-    explain->cache_hit = cache_hit;
+  // Stack-assembled profile: plain stores plus the counts the resolution
+  // fixed — no allocation, no extra passes on a warm cache hit.
+  obs::QueryCostProfile profile;
+  profile.path = !cache_enabled_ ? obs::QueryPathKind::kUncached
+                 : cache_hit     ? obs::QueryPathKind::kCacheHit
+                                 : obs::QueryPathKind::kCacheMiss;
+  core::QueryAnswer answer;
+  {
+    obs::Span span(resolved->missed ? nullptr : trace.get(),
+                   health_ != nullptr ? "degraded_answer" : "form_integration");
+    answer = core_.Answer(*resolved, query, kind, bound,
+                          health_ != nullptr ? &degraded_options_ : nullptr,
+                          profiling ? &profile : nullptr);
   }
-  if (resolved->missed) {
-    answer.missed = true;
+  if (answer.missed) {
     (bound == core::BoundMode::kLower ? missed_lower_ : missed_upper_)
         ->Increment();
-  } else if (resolved->degraded != nullptr) {
-    obs::Span span(trace.get(), "degraded_answer");
-    answer = core::AnswerFromDegradedBoundary(*store_, *resolved->degraded,
-                                              query, kind, degraded_options_);
-    if (answer.degraded) degraded_answers_->Increment();
-  } else {
-    obs::Span span(trace.get(), "form_integration");
-    const core::SampledGraph::RegionBoundary& boundary = resolved->boundary;
-    // Fused devirtualized kernels on a frozen store; the virtual per-edge
-    // path otherwise. Same arithmetic, bit-identical estimates.
-    if (kind == core::CountKind::kStatic) {
-      answer.estimate =
-          frozen_ != nullptr
-              ? forms::EvaluateStaticCount(*frozen_, boundary.edges, query.t2)
-              : forms::EvaluateStaticCount(*store_, boundary.edges, query.t2);
-    } else {
-      answer.estimate =
-          frozen_ != nullptr
-              ? forms::EvaluateTransientCount(*frozen_, boundary.edges,
-                                              query.t1, query.t2)
-              : forms::EvaluateTransientCount(*store_, boundary.edges,
-                                              query.t1, query.t2);
-    }
-    answer.interval = forms::CountInterval::Point(answer.estimate);
-    answer.nodes_accessed = boundary.sensors.size();
-    answer.edges_accessed = boundary.edges.size();
   }
+  if (answer.degraded) degraded_answers_->Increment();
   answer.exec_micros = timer.ElapsedMicros();
   queries_answered_->Increment();
   latency_micros_->Observe(answer.exec_micros);
-  if (explain != nullptr) {
-    core::FillExplainAnswer(answer, explain);
-    if (answer.degraded) explain->path = "degraded";
-  }
+  // Explain records are assembled on request, or lazily for the
+  // (rate-limited) slow queries that actually emit one.
+  auto explain_into = [&](obs::ExplainRecord* record) {
+    core_.Explain(*resolved, query, kind, bound, answer, record);
+    record->cache_used = cache_enabled_;
+    record->cache_hit = cache_hit;
+  };
+  if (explain != nullptr) explain_into(explain);
   if (profiling) {
-    // Stack-assembled profile: plain stores plus the precomputed
-    // stored_timestamps of the resolution — no allocation, no extra
-    // passes on a warm cache hit.
-    obs::QueryCostProfile profile;
-    profile.kind = kind == core::CountKind::kStatic ? 0 : 1;
-    profile.bound = bound == core::BoundMode::kLower ? 0 : 1;
-    profile.store_kind = store_kind_;
-    profile.path = answer.degraded ? obs::QueryPathKind::kDegraded
-                   : !cache_enabled_ ? obs::QueryPathKind::kUncached
-                   : cache_hit       ? obs::QueryPathKind::kCacheHit
-                                     : obs::QueryPathKind::kCacheMiss;
-    profile.region_decile =
-        static_cast<uint8_t>(decile_buckets_.Decile(query.junctions.size()));
-    profile.missed = answer.missed;
-    profile.degraded = answer.degraded;
-    profile.faces_resolved = static_cast<uint32_t>(resolved->faces.size());
-    profile.region_junctions = query.junctions.size();
-    profile.boundary_edges = resolved->boundary.edges.size();
-    profile.boundary_sensors = resolved->boundary.sensors.size();
-    profile.csr_timestamps = resolved->stored_timestamps;
-    if (frozen_ != nullptr) {
-      profile.bucket_probes =
-          resolved->boundary.edges.size() * 2 *
-          (kind == core::CountKind::kTransient ? 2 : 1);
-    }
-    profile.store_generation = store_snapshot_.generation;
     profile.resolve_nanos = static_cast<uint64_t>(resolve_micros * 1000.0);
     profile.total_nanos =
         static_cast<uint64_t>(answer.exec_micros * 1000.0);
@@ -298,20 +173,9 @@ core::QueryAnswer BatchQueryEngine::AnswerOne(const core::RangeQuery& query,
     if (digest_ != nullptr) digest_->Record(profile);
     if (slowlog_ != nullptr && slowlog_->IsSlow(profile) &&
         slowlog_->Admit()) {
-      // Slow path: the explain record is assembled lazily, only for the
-      // (rate-limited) queries that actually emit a record.
-      if (explain != nullptr) {
-        slowlog_->Record(profile, *explain);
-      } else {
-        obs::ExplainRecord record;
-        core::FillExplainResolution(*sampled_, query, kind, bound,
-                                    resolved->faces, *store_, &record);
-        record.cache_used = cache_enabled_;
-        record.cache_hit = cache_hit;
-        core::FillExplainAnswer(answer, &record);
-        if (answer.degraded) record.path = "degraded";
-        slowlog_->Record(profile, record);
-      }
+      obs::ExplainRecord record;
+      if (explain == nullptr) explain_into(&record);
+      slowlog_->Record(profile, explain != nullptr ? *explain : record);
     }
   }
   if (accuracy_ != nullptr) {
@@ -330,7 +194,7 @@ core::QueryAnswer BatchQueryEngine::AnswerOne(const core::RangeQuery& query,
 void BatchQueryEngine::MaybeEnqueueShadow(
     const core::RangeQuery& query, const core::QueryAnswer& answer,
     core::CountKind kind, core::BoundMode bound,
-    std::shared_ptr<const ResolvedBoundary> resolved) {
+    std::shared_ptr<const core::ResolvedRegion> resolved) {
   if (!accuracy_->ShouldShadow()) return;
   ShadowTask task;
   task.query = query;
@@ -379,7 +243,7 @@ void BatchQueryEngine::RunShadowTask(const ShadowTask& task) {
   size_t resolved_cells = 0;
   if (task.resolved != nullptr) {
     for (uint32_t face : task.resolved->faces) {
-      resolved_cells += sampled_->FaceSize(face);
+      resolved_cells += core_.sampled().FaceSize(face);
     }
   }
   double deadspace =
@@ -393,6 +257,24 @@ void BatchQueryEngine::RunShadowTask(const ShadowTask& task) {
 }
 
 void BatchQueryEngine::BeginBatch() {
+  if (core_.FollowStore()) {
+    // Conservative flush: no region resolved against the previous store
+    // generation survives the swap, mirroring the health-generation path.
+    cache_.Clear();
+    store_invalidations_->Increment();
+    obs::FlightRecorder::Global().Note(
+        "engine", "attach_generation",
+        static_cast<double>(core_.view().generation()));
+  }
+  if (health_ != nullptr) {
+    uint64_t generation = health_->Generation();
+    if (last_health_generation_.exchange(generation,
+                                         std::memory_order_relaxed) !=
+        generation) {
+      cache_.Clear();
+      health_invalidations_->Increment();
+    }
+  }
   if (accuracy_ == nullptr) return;
   std::lock_guard<std::mutex> lock(shadow_mutex_);
   batch_active_ = true;
@@ -417,8 +299,6 @@ void BatchQueryEngine::FlushShadow() {
 std::vector<core::QueryAnswer> BatchQueryEngine::AnswerBatch(
     const std::vector<core::RangeQuery>& queries, core::CountKind kind,
     core::BoundMode bound) {
-  SyncStoreGeneration();
-  SyncHealthGeneration();
   BeginBatch();
   std::vector<core::QueryAnswer> answers(queries.size());
   pool_.ParallelFor(queries.size(), [&](size_t i) {
@@ -433,8 +313,6 @@ std::vector<core::QueryAnswer> BatchQueryEngine::AnswerBatch(
 std::vector<core::QueryAnswer> BatchQueryEngine::AnswerBatchExplained(
     const std::vector<core::RangeQuery>& queries, core::CountKind kind,
     core::BoundMode bound, std::vector<obs::ExplainRecord>* explains) {
-  SyncStoreGeneration();
-  SyncHealthGeneration();
   BeginBatch();
   explains->assign(queries.size(), obs::ExplainRecord{});
   std::vector<core::QueryAnswer> answers(queries.size());
@@ -449,8 +327,6 @@ core::QueryAnswer BatchQueryEngine::Answer(const core::RangeQuery& query,
                                            core::CountKind kind,
                                            core::BoundMode bound,
                                            obs::ExplainRecord* explain) {
-  SyncStoreGeneration();
-  SyncHealthGeneration();
   BeginBatch();
   core::QueryAnswer answer = AnswerOne(query, kind, bound, explain);
   EndBatch();

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/answer_core.h"
 #include "core/health.h"
 #include "core/query.h"
 #include "core/query_processor.h"
@@ -207,15 +208,15 @@ class BatchQueryEngine {
     /// The resolution the approximate answer used — the shadow thread
     /// derives region size and dead space from it without re-resolving on
     /// the hot path.
-    std::shared_ptr<const ResolvedBoundary> resolved;
+    std::shared_ptr<const core::ResolvedRegion> resolved;
   };
 
-  /// Cache-through resolution of one query region under `bound`. `trace`
-  /// may be null; sampled queries record lookup/resolution spans into it.
-  /// `was_cache_hit` (optional) reports whether the lookup hit.
-  std::shared_ptr<const ResolvedBoundary> Resolve(
+  /// Cache-through resolution of one query region under `bound` (through
+  /// the core, under the health view when set). `trace` may be null;
+  /// sampled queries record lookup/resolution spans into it.
+  std::shared_ptr<const core::ResolvedRegion> Resolve(
       const core::RangeQuery& query, core::BoundMode bound,
-      obs::QueryTrace* trace, bool* was_cache_hit = nullptr);
+      obs::QueryTrace* trace, bool* was_cache_hit);
 
   core::QueryAnswer AnswerOne(const core::RangeQuery& query,
                               core::CountKind kind, core::BoundMode bound,
@@ -226,58 +227,36 @@ class BatchQueryEngine {
   void MaybeEnqueueShadow(const core::RangeQuery& query,
                           const core::QueryAnswer& answer,
                           core::CountKind kind, core::BoundMode bound,
-                          std::shared_ptr<const ResolvedBoundary> resolved);
+                          std::shared_ptr<const core::ResolvedRegion> resolved);
 
   /// Background shadow loop: executes queued checks while no batch is in
   /// flight.
   void ShadowLoop();
   void RunShadowTask(const ShadowTask& task);
 
-  /// Marks a batch in flight (shadow thread pauses) / done (it resumes).
+  /// Opens an AnswerBatch/Answer call, once per entry point before the
+  /// worker fan-out, so every worker of a batch reads one consistent store
+  /// and health view: follows a swapped store (handle mode) or a moved
+  /// health generation by flushing the cache, then marks a batch in flight
+  /// (the shadow thread pauses). EndBatch lets it resume.
   void BeginBatch();
   void EndBatch();
 
-  /// Shared delegate of the public constructors: exactly one of `store` /
-  /// `handle` is non-null.
-  BatchQueryEngine(const core::SampledGraph& sampled,
-                   const forms::EdgeCountStore* store,
-                   const forms::FrozenStoreHandle* handle,
-                   const BatchEngineOptions& options);
+  /// Shared delegate of the public constructors.
+  BatchQueryEngine(core::AnswerCore core, const BatchEngineOptions& options);
 
-  /// Flushes cached boundaries when the health view's generation moved
-  /// since the last call. Invoked once per AnswerBatch/Answer, outside the
-  /// worker fan-out.
-  void SyncHealthGeneration();
-
-  /// Handle mode: re-acquires the published store and flushes the cache
-  /// when the store generation moved. Same call discipline as
-  /// SyncHealthGeneration — once per entry point, before the fan-out, so
-  /// every worker of a batch reads one consistent store.
-  void SyncStoreGeneration();
-
-  const core::SampledGraph* sampled_;
-  const forms::EdgeCountStore* store_;
-  // Non-null when store_ is a forms::FrozenTrackingForm: form integration
-  // then runs the devirtualized fused kernels (docs/PERFORMANCE.md) with
-  // bit-identical results.
-  const forms::FrozenTrackingForm* frozen_;
-  // Handle mode only: the followed handle and the pinned snapshot (keeps
-  // the current epoch's store alive while workers read it).
-  const forms::FrozenStoreHandle* store_handle_ = nullptr;
-  forms::FrozenStoreHandle::Snapshot store_snapshot_;
+  // The answer core and its store view (fused kernels on frozen stores,
+  // bit-identical results either way); in handle mode the view pins the
+  // current epoch's store while workers read it.
+  core::AnswerCore core_;
   const core::SensorHealthView* health_;
   core::DegradedOptions degraded_options_;
   obs::Tracer* tracer_;
   bool cache_enabled_ = false;
 
-  // Cost accounting (options.digest / options.slowlog). store_kind_ and
-  // the decile thresholds are profile classification latched at
-  // construction (and store swaps) so the warm path never calls
-  // Provenance() or divides.
+  // Cost accounting (options.digest / options.slowlog).
   obs::QueryDigestTable* digest_ = nullptr;
   obs::SlowQueryLog* slowlog_ = nullptr;
-  uint8_t store_kind_ = 0;
-  obs::RegionDecileBuckets decile_buckets_;
 
   // Private registry when the options carried none; registry_ points at
   // whichever backs this engine.

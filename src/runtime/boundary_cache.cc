@@ -64,7 +64,7 @@ BoundaryCache::BoundaryCache(size_t capacity, size_t shards,
   }
 }
 
-std::shared_ptr<const ResolvedBoundary> BoundaryCache::Lookup(
+std::shared_ptr<const core::ResolvedRegion> BoundaryCache::Lookup(
     const RegionSignature& key) {
   if (per_shard_capacity_ == 0) {
     misses_->Increment();
@@ -83,7 +83,7 @@ std::shared_ptr<const ResolvedBoundary> BoundaryCache::Lookup(
 }
 
 void BoundaryCache::Insert(const RegionSignature& key,
-                           std::shared_ptr<const ResolvedBoundary> value) {
+                           std::shared_ptr<const core::ResolvedRegion> value) {
   if (per_shard_capacity_ == 0) return;
   INNET_CHECK(value != nullptr);
   Shard& shard = ShardFor(key);

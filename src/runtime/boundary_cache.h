@@ -5,11 +5,14 @@
 // query and is identical for every repetition of the same region — the
 // dominant redundant work of dashboard/monitoring traffic where many
 // clients poll overlapping regions. This cache memoizes the resolved
-// boundary keyed by (region signature, bound mode) so repeated queries skip
-// resolution entirely and go straight to count evaluation.
+// region (core::ResolvedRegion: faces, boundary, and — for health-aware
+// engines — the healthy deformations) keyed by (region signature, bound
+// mode) so repeated queries skip resolution entirely and go straight to
+// count evaluation. Entries never outlive a health or store generation:
+// BatchQueryEngine clears the cache on both transitions.
 //
 // Values are shared_ptr<const ...>: a hit hands out a reference to the
-// immutable resolved boundary, so eviction never invalidates an in-flight
+// immutable resolved region, so eviction never invalidates an in-flight
 // evaluation. Sharding keeps lock contention bounded under a worker pool.
 #ifndef INNET_RUNTIME_BOUNDARY_CACHE_H_
 #define INNET_RUNTIME_BOUNDARY_CACHE_H_
@@ -21,39 +24,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/degraded.h"
 #include "core/query.h"
-#include "core/sampled_graph.h"
+#include "core/resolved_region.h"
 #include "obs/metrics.h"
 
 namespace innet::runtime {
-
-/// A resolved region: the face-union boundary, or a recorded miss (no face
-/// of G̃ satisfied the bound). Immutable once published to the cache.
-struct ResolvedBoundary {
-  bool missed = false;
-  /// Edges arrive sorted by edge id (BoundaryOfFaces' contract) — frozen
-  /// CSR slot order — so every kernel pass over a cached boundary streams
-  /// the store monotonically.
-  core::SampledGraph::RegionBoundary boundary;
-
-  /// The G̃ faces whose union the boundary encloses — kept so a cache hit
-  /// explains (obs/explain.h) identically to a fresh resolution.
-  std::vector<uint32_t> faces;
-
-  /// Populated only by health-aware engines: the degraded resolution under
-  /// the health generation the entry was built for. Entries never outlive a
-  /// generation change — BatchQueryEngine clears the cache on transitions.
-  std::shared_ptr<const core::DegradedBoundary> degraded;
-
-  /// Stored CSR timestamps under this boundary (both directions of every
-  /// boundary edge), precomputed at resolve time on frozen stores so warm
-  /// cache hits fill their cost profile (obs/query_cost.h) without an
-  /// extra pass. Sound to cache: the engine flushes the cache on every
-  /// store-generation swap, so an entry never outlives the store it was
-  /// counted against. 0 on virtual (non-frozen) stores.
-  uint64_t stored_timestamps = 0;
-};
 
 /// 128-bit signature of a query region under one bound mode. Two
 /// independent 64-bit hashes over the junction sequence make accidental
@@ -74,7 +49,7 @@ struct RegionSignature {
 RegionSignature SignRegion(const std::vector<graph::NodeId>& junctions,
                            core::BoundMode bound);
 
-/// Sharded LRU map from RegionSignature to ResolvedBoundary.
+/// Sharded LRU map from RegionSignature to core::ResolvedRegion.
 class BoundaryCache {
  public:
   /// `capacity` entries total across `shards` shards (each shard holds
@@ -89,13 +64,14 @@ class BoundaryCache {
                 obs::Counter* hits = nullptr, obs::Counter* misses = nullptr);
 
   /// Returns the cached boundary and refreshes its recency, or nullptr.
-  std::shared_ptr<const ResolvedBoundary> Lookup(const RegionSignature& key);
+  std::shared_ptr<const core::ResolvedRegion> Lookup(
+      const RegionSignature& key);
 
   /// Publishes a resolved boundary, evicting the shard's least recently
   /// used entry when full. Racing inserts of the same key are benign (last
   /// write wins; both values are identical by construction).
   void Insert(const RegionSignature& key,
-              std::shared_ptr<const ResolvedBoundary> value);
+              std::shared_ptr<const core::ResolvedRegion> value);
 
   void Clear();
 
@@ -114,7 +90,7 @@ class BoundaryCache {
  private:
   struct Entry {
     RegionSignature key;
-    std::shared_ptr<const ResolvedBoundary> value;
+    std::shared_ptr<const core::ResolvedRegion> value;
   };
   struct SignatureHash {
     size_t operator()(const RegionSignature& s) const {

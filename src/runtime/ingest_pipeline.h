@@ -213,7 +213,7 @@ class IngestPipeline {
   /// indistinguishable from healthy-sensor message loss, so the loss
   /// fraction lost/(accepted+lost) raises DegradedOptions::drop_rate_bound
   /// and every interval served from this store widens accordingly
-  /// (core::AnswerFromDegradedBoundary). Returns `base` unchanged when
+  /// (core::AnswerCore::Answer). Returns `base` unchanged when
   /// nothing was lost.
   core::DegradedOptions OverloadDegradedOptions(
       core::DegradedOptions base = {}) const;

@@ -2,16 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
-#include "core/degraded.h"
+#include "core/answer_core.h"
 #include "core/event_buffer.h"
 #include "core/framework.h"
 #include "core/workload.h"
 #include "faults/fault_model.h"
 #include "faults/health_monitor.h"
+#include "forms/frozen_tracking_form.h"
+#include "forms/region_count.h"
 #include "forms/tracking_form.h"
+#include "obs/query_digest.h"
 #include "runtime/batch_query_engine.h"
 #include "sampling/samplers.h"
 
@@ -359,35 +364,191 @@ TEST(DegradedTest, OuterDeformationContainsInnerStatically) {
   util::Rng wrng = framework.ForkRng();
   std::vector<RangeQuery> queries = GenerateWorkload(net, wo, 25, wrng);
 
+  core::AnswerCore answer_core(dep.graph(), dep.store());
+  core::QueryWorkspace ws;
+  core::ResolvedRegion region;
+  core::DegradedOptions options;
   size_t degraded_seen = 0;
   for (const RangeQuery& q : queries) {
-    std::vector<uint32_t> faces = dep.graph().LowerBoundFaces(q.junctions);
-    if (faces.empty()) continue;
-    core::DegradedBoundary resolved =
-        core::ResolveDegradedBoundary(dep.graph(), faces, model, {});
-    if (!resolved.degraded) continue;
+    answer_core.Resolve(q.junctions, BoundMode::kLower, &model, options, ws,
+                        &region);
+    if (!region.degraded) continue;
     ++degraded_seen;
     // Deformed boundaries must be fully healthy.
-    for (const forms::BoundaryEdge& be : resolved.outer.edges) {
-      graph::NodeId owner = net.EdgeOwner(be.edge);
-      EXPECT_TRUE(owner == graph::kInvalidNode || !model.IsFailed(owner));
-    }
-    if (!resolved.inner_empty) {
-      for (const forms::BoundaryEdge& be : resolved.inner.edges) {
+    for (const core::RegionBoundary* b : {&region.outer, &region.inner}) {
+      for (const forms::BoundaryEdge& be : b->edges) {
         graph::NodeId owner = net.EdgeOwner(be.edge);
         EXPECT_TRUE(owner == graph::kInvalidNode || !model.IsFailed(owner));
       }
     }
-    // F- ⊆ F ⊆ F+ so static counts must be ordered at any time.
-    double t = framework.Horizon() * 0.7;
-    double mid = net.GroundTruthStatic(q.junctions, t);
-    QueryAnswer answer = core::AnswerFromDegradedBoundary(
-        dep.store(), resolved, {q.rect, q.junctions, 0.0, t},
-        CountKind::kStatic, {});
-    EXPECT_LE(answer.interval.lo, answer.interval.hi);
-    (void)mid;
+    // F- ⊆ F ⊆ F+ and static occupancy is monotone, so the interval
+    // contains the fault-free count of F on the healthy store (FAULTS.md
+    // §3) at any time.
+    RangeQuery at_t{q.rect, q.junctions, 0.0, framework.Horizon() * 0.7};
+    QueryAnswer answer = answer_core.Answer(
+        region, at_t, CountKind::kStatic, BoundMode::kLower, &options,
+        nullptr);
+    double fault_free =
+        forms::EvaluateStaticCount(dep.store(), region.boundary.edges, at_t.t2);
+    EXPECT_TRUE(answer.interval.Contains(fault_free))
+        << "[" << answer.interval.lo << ", " << answer.interval.hi
+        << "] excludes " << fault_free;
   }
   EXPECT_GT(degraded_seen, 0u);
+}
+
+// Degraded-mode knobs that make every slack term run: drop, clock skew,
+// and (transient) dead-edge traffic.
+core::DegradedOptions EverySlackOptions() {
+  core::DegradedOptions options;
+  options.drop_rate_bound = 0.05;
+  options.clock_skew_bound = 30.0;
+  options.dead_edge_rate_bound = 0.01;
+  return options;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+void ExpectSameAnswer(const QueryAnswer& want, const QueryAnswer& got) {
+  EXPECT_EQ(want.missed, got.missed);
+  EXPECT_EQ(want.degraded, got.degraded);
+  EXPECT_EQ(Bits(want.estimate), Bits(got.estimate));
+  EXPECT_EQ(Bits(want.interval.lo), Bits(got.interval.lo));
+  EXPECT_EQ(Bits(want.interval.hi), Bits(got.interval.hi));
+  EXPECT_EQ(want.nodes_accessed, got.nodes_accessed);
+  EXPECT_EQ(want.edges_accessed, got.edges_accessed);
+  EXPECT_EQ(want.dead_boundary_edges, got.dead_boundary_edges);
+  EXPECT_EQ(want.rerouted_faces, got.rerouted_faces);
+}
+
+// Degraded answers integrate F- and F+ through the fused kernels on a
+// frozen store; they must match the virtual path over the source
+// TrackingForm bit for bit — serially and through the engine cold, warm,
+// and on 8 workers.
+TEST(DegradedTest, FrozenStoreAnswersMatchTrackingFormBitForBit) {
+  core::Framework framework(SmallOptions(29));
+  const core::SensorNetwork& net = framework.network();
+  sampling::KdTreeSampler sampler;
+  util::Rng rng = framework.ForkRng();
+  core::Deployment dep = framework.DeployWithSampler(
+      sampler, net.NumSensors() / 4, core::DeploymentOptions{}, rng);
+  forms::FrozenTrackingForm frozen = dep.tracking_store()->Freeze();
+
+  FaultOptions fault_options;
+  fault_options.seed = 7;
+  fault_options.dead_sensor_fraction = 0.12;
+  FaultModel model(net, fault_options);
+  const core::DegradedOptions options = EverySlackOptions();
+
+  core::WorkloadOptions wo;
+  wo.area_fraction = 0.08;
+  wo.horizon = framework.Horizon();
+  util::Rng wrng = framework.ForkRng();
+  std::vector<RangeQuery> queries = GenerateWorkload(net, wo, 30, wrng);
+
+  core::SampledQueryProcessor tracking = dep.processor();
+  core::SampledQueryProcessor fused(dep.graph(), frozen);
+  runtime::BatchEngineOptions engine_options;
+  engine_options.health = &model;
+  engine_options.degraded = options;
+  runtime::BatchQueryEngine reference(dep.graph(), *dep.tracking_store(),
+                                      engine_options);
+  engine_options.num_threads = 8;
+  runtime::BatchQueryEngine engine(dep.graph(), frozen, engine_options);
+
+  size_t degraded = 0;
+  for (CountKind kind : {CountKind::kStatic, CountKind::kTransient}) {
+    for (BoundMode bound : {BoundMode::kLower, BoundMode::kUpper}) {
+      engine.ClearCache();
+      std::vector<QueryAnswer> serial =
+          reference.AnswerBatch(queries, kind, bound);
+      std::vector<QueryAnswer> cold = engine.AnswerBatch(queries, kind, bound);
+      std::vector<QueryAnswer> warm = engine.AnswerBatch(queries, kind, bound);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        QueryAnswer want =
+            tracking.AnswerDegraded(queries[i], kind, bound, model, options);
+        ExpectSameAnswer(want, fused.AnswerDegraded(queries[i], kind, bound,
+                                                    model, options));
+        ExpectSameAnswer(want, serial[i]);
+        ExpectSameAnswer(want, cold[i]);
+        ExpectSameAnswer(want, warm[i]);
+        if (want.degraded) ++degraded;
+      }
+    }
+  }
+  EXPECT_GT(degraded, 0u);
+}
+
+// A degraded profile charges what was integrated — F- plus F+ — exactly as
+// the answer (and EXPLAIN) report it, on the processor and the engine.
+TEST(DegradedTest, DegradedProfileChargesTheIntegratedBoundary) {
+  core::Framework framework(SmallOptions(31));
+  const core::SensorNetwork& net = framework.network();
+  sampling::KdTreeSampler sampler;
+  util::Rng rng = framework.ForkRng();
+  core::Deployment dep = framework.DeployWithSampler(
+      sampler, net.NumSensors() / 4, core::DeploymentOptions{}, rng);
+  forms::FrozenTrackingForm frozen = dep.tracking_store()->Freeze();
+
+  FaultOptions fault_options;
+  fault_options.seed = 11;
+  fault_options.dead_sensor_fraction = 0.12;
+  FaultModel model(net, fault_options);
+  const core::DegradedOptions options = EverySlackOptions();
+
+  core::WorkloadOptions wo;
+  wo.area_fraction = 0.08;
+  wo.horizon = framework.Horizon();
+  util::Rng wrng = framework.ForkRng();
+  std::vector<RangeQuery> queries = GenerateWorkload(net, wo, 30, wrng);
+
+  core::SampledQueryProcessor processor(dep.graph(), frozen);
+  obs::QueryDigestTable digest;
+  runtime::BatchEngineOptions engine_options;
+  engine_options.health = &model;
+  engine_options.degraded = options;
+  engine_options.digest = &digest;
+  runtime::BatchQueryEngine engine(dep.graph(), frozen, engine_options);
+
+  size_t degraded = 0;
+  uint64_t engine_edges = 0;
+  uint64_t engine_sensors = 0;
+  for (const RangeQuery& q : queries) {
+    QueryAnswer answer = processor.AnswerDegraded(
+        q, CountKind::kStatic, BoundMode::kLower, model, options);
+    const obs::QueryCostProfile& cost = core::LocalWorkspace().cost;
+    EXPECT_EQ(cost.degraded, answer.degraded);
+    EXPECT_EQ(cost.boundary_edges, answer.edges_accessed);
+    EXPECT_EQ(cost.boundary_sensors, answer.nodes_accessed);
+    // Static with drop and skew set: per integrated edge, one instant for
+    // the count, one for the drop activity, two for the skew window — two
+    // directed slots each.
+    EXPECT_EQ(cost.bucket_probes, 8 * answer.edges_accessed);
+    if (answer.degraded) {
+      ++degraded;
+      EXPECT_EQ(cost.path, obs::QueryPathKind::kDegraded);
+    }
+    QueryAnswer served = engine.Answer(q, CountKind::kStatic,
+                                       BoundMode::kLower);
+    if (served.degraded) {
+      engine_edges += served.edges_accessed;
+      engine_sensors += served.nodes_accessed;
+    }
+  }
+  ASSERT_GT(degraded, 0u);
+  uint64_t digest_edges = 0;
+  uint64_t digest_sensors = 0;
+  for (const obs::QueryDigestRow& row : digest.TopK(SIZE_MAX)) {
+    if (row.key.path != obs::QueryPathKind::kDegraded) continue;
+    digest_edges += row.boundary_edges;
+    digest_sensors += row.boundary_sensors;
+  }
+  EXPECT_EQ(digest_edges, engine_edges);
+  EXPECT_EQ(digest_sensors, engine_sensors);
 }
 
 }  // namespace
