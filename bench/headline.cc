@@ -338,16 +338,14 @@ int Main(const util::FlagParser& flags) {
   for (int round = 0; round < 2; ++round) {  // Warm-up: grow all scratch.
     for (const core::RangeQuery& q : queries) {
       frozen_processor.Answer(q, core::CountKind::kStatic,
-                              core::BoundMode::kLower, nullptr, nullptr,
-                              &workspace);
+                              core::BoundMode::kLower, nullptr, &workspace);
     }
   }
   util::AllocProbe probe;
   for (const core::RangeQuery& q : queries) {
     frozen_sum += frozen_processor
                       .Answer(q, core::CountKind::kStatic,
-                              core::BoundMode::kLower, nullptr, nullptr,
-                              &workspace)
+                              core::BoundMode::kLower, nullptr, &workspace)
                       .estimate;
   }
   uint64_t warm_allocs = probe.Delta();
@@ -357,8 +355,7 @@ int Main(const util::FlagParser& flags) {
   util::AllocProbe profiled_probe;
   for (const core::RangeQuery& q : queries) {
     frozen_processor.Answer(q, core::CountKind::kStatic,
-                            core::BoundMode::kLower, nullptr, nullptr,
-                            &workspace);
+                            core::BoundMode::kLower, nullptr, &workspace);
     digest_table.Record(workspace.cost);
     if (slowlog.IsSlow(workspace.cost)) {
       (void)slowlog.Admit();  // Reached only on a genuinely slow query.

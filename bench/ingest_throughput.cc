@@ -314,7 +314,7 @@ int Main(const util::FlagParser& flags) {
   for (int round = 0; round < 2; ++round) {  // Warm-up: grow all scratch.
     for (const core::RangeQuery& q : queries) {
       warm.Answer(q, core::CountKind::kStatic, core::BoundMode::kLower,
-                  nullptr, nullptr, &workspace);
+                  nullptr, &workspace);
     }
   }
   uint64_t generation_before = pipeline->handle().Generation();
@@ -332,8 +332,7 @@ int Main(const util::FlagParser& flags) {
   while (!writer_done.load(std::memory_order_acquire)) {
     for (const core::RangeQuery& q : queries) {
       warm_sum += warm.Answer(q, core::CountKind::kStatic,
-                              core::BoundMode::kLower, nullptr, nullptr,
-                              &workspace)
+                              core::BoundMode::kLower, nullptr, &workspace)
                       .estimate;
       ++warm_queries;
     }

@@ -541,13 +541,13 @@ int KernelReport(const util::FlagParser& flags) {
   for (int round = 0; round < 2; ++round) {
     for (const core::RangeQuery* q : resolved_queries) {
       frozen_proc.Answer(*q, core::CountKind::kStatic, core::BoundMode::kLower,
-                         nullptr, nullptr, &workspace);
+                         nullptr, &workspace);
     }
   }
   util::AllocProbe alloc_probe;
   for (const core::RangeQuery* q : resolved_queries) {
     frozen_proc.Answer(*q, core::CountKind::kStatic, core::BoundMode::kLower,
-                       nullptr, nullptr, &workspace);
+                       nullptr, &workspace);
   }
   const uint64_t warm_allocs = alloc_probe.Delta();
   report.Metric("warm_query_allocs", static_cast<double>(warm_allocs));

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "core/degraded.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace innet::core {
 
@@ -101,7 +103,8 @@ AnswerCore::AnswerCore(const SampledGraph& sampled,
 void AnswerCore::Resolve(const std::vector<graph::NodeId>& junctions,
                          BoundMode bound, const SensorHealthView* health,
                          const DegradedOptions& options, QueryWorkspace& ws,
-                         ResolvedRegion* out, obs::QueryTrace* trace) const {
+                         ResolvedRegion* out,
+                         obs::QueryCostProfile* cost) const {
   if (bound == BoundMode::kLower) {
     sampled_->LowerBoundFaces(junctions, ws);
   } else {
@@ -114,12 +117,14 @@ void AnswerCore::Resolve(const std::vector<graph::NodeId>& junctions,
   out->boundary.edges.clear();
   out->boundary.sensors.clear();
   if (!out->missed) {
-    obs::Span reroute(health != nullptr ? trace : nullptr, "degraded_reroute");
     sampled_->BoundaryOfFaces(ws.faces, ws);
     out->boundary.edges = ws.boundary_edges;
     out->boundary.sensors = ws.boundary_sensors;
     if (health != nullptr) {
+      std::optional<util::Timer> reroute;
+      if (cost != nullptr) reroute.emplace();
       ResolveDegradedBoundary(*sampled_, *health, options, ws, out);
+      if (cost != nullptr) cost->reroute_nanos = reroute->ElapsedNanos();
     }
   }
   if (!out->degraded) {
@@ -214,6 +219,7 @@ QueryAnswer AnswerCore::Answer(const ResolvedRegion& region,
   }
   if (cost != nullptr) {
     Account(region, query, kind, bound, cost);
+    cost->health_aware = options != nullptr;
     // Two directed slots per boundary edge and instant.
     if (view_.frozen() != nullptr) cost->bucket_probes = 2 * edge_instants;
   }

@@ -21,7 +21,6 @@
 #include "forms/store_handle.h"
 #include "obs/explain.h"
 #include "obs/query_cost.h"
-#include "obs/trace.h"
 
 namespace innet::core {
 
@@ -103,12 +102,12 @@ class AnswerCore {
   /// Resolves the faces of `junctions` under `bound` and the boundary F of
   /// their union into `out`, reusing its capacity (a healthy region costs
   /// no allocation once `out` is warm). With `health`, a boundary touching
-  /// failed sensors is deformed into F+/F- (ResolveDegradedBoundary) inside
-  /// a `degraded_reroute` span of `trace`.
+  /// failed sensors is deformed into F+/F- (ResolveDegradedBoundary), and
+  /// `cost` (optional) receives the reroute's time.
   void Resolve(const std::vector<graph::NodeId>& junctions, BoundMode bound,
                const SensorHealthView* health, const DegradedOptions& options,
                QueryWorkspace& ws, ResolvedRegion* out,
-               obs::QueryTrace* trace = nullptr) const;
+               obs::QueryCostProfile* cost = nullptr) const;
 
   /// Answers `query` over a resolved region, allocation-free. Without
   /// `options` the answer is a point. With them (health-aware serving) it

@@ -14,10 +14,6 @@ namespace innet::core {
 
 namespace {
 
-uint64_t Nanos(const util::Timer& timer) {
-  return static_cast<uint64_t>(timer.ElapsedMicros() * 1000.0);
-}
-
 // Processor-level metrics live in the global registry; the reference is
 // resolved once (thread-safe local static) and incremented lock-free.
 obs::Counter& ProcessorQueries() {
@@ -52,54 +48,41 @@ obs::Counter& UnsampledQueries() {
 
 QueryAnswer SampledQueryProcessor::Answer(const RangeQuery& query,
                                           CountKind kind, BoundMode bound,
-                                          obs::QueryTrace* trace,
                                           obs::ExplainRecord* explain,
                                           QueryWorkspace* workspace) const {
-  return AnswerServed(query, kind, bound, nullptr, nullptr, trace, explain,
+  return AnswerServed(query, kind, bound, nullptr, nullptr, explain,
                       workspace != nullptr ? *workspace : LocalWorkspace());
 }
 
 QueryAnswer SampledQueryProcessor::AnswerDegraded(
     const RangeQuery& query, CountKind kind, BoundMode bound,
     const SensorHealthView& health, const DegradedOptions& options,
-    obs::QueryTrace* trace, obs::ExplainRecord* explain) const {
-  return AnswerServed(query, kind, bound, &health, &options, trace, explain,
+    obs::ExplainRecord* explain) const {
+  return AnswerServed(query, kind, bound, &health, &options, explain,
                       LocalWorkspace());
 }
 
 QueryAnswer SampledQueryProcessor::AnswerServed(
     const RangeQuery& query, CountKind kind, BoundMode bound,
     const SensorHealthView* health, const DegradedOptions* options,
-    obs::QueryTrace* trace, obs::ExplainRecord* explain,
-    QueryWorkspace& ws) const {
+    obs::ExplainRecord* explain, QueryWorkspace& ws) const {
   core_.FollowStore();
   util::Timer timer;
   ProcessorQueries().Increment();
   obs::QueryCostProfile& cost = ws.cost;
   cost = obs::QueryCostProfile{};
   ResolvedRegion& region = ws.region;
-  {
-    obs::Span span(trace, "boundary_resolution");
-    core_.Resolve(query.junctions, bound, health,
-                  options != nullptr ? *options : DegradedOptions{}, ws,
-                  &region, trace);
-  }
-  cost.resolve_nanos = Nanos(timer);
-  QueryAnswer answer;
-  {
-    obs::Span span(region.missed ? nullptr : trace,
-                   health != nullptr ? "degraded_answer" : "form_integration");
-    answer = core_.Answer(region, query, kind, bound, options, &cost);
-  }
+  core_.Resolve(query.junctions, bound, health,
+                options != nullptr ? *options : DegradedOptions{}, ws, &region,
+                &cost);
+  cost.resolve_nanos = timer.ElapsedNanos();
+  QueryAnswer answer =
+      core_.Answer(region, query, kind, bound, options, &cost);
   if (answer.missed) ProcessorMissed().Increment();
   if (answer.degraded) ProcessorDegraded().Increment();
-  answer.exec_micros = timer.ElapsedMicros();
-  cost.total_nanos = Nanos(timer);
+  cost.total_nanos = timer.ElapsedNanos();
   cost.integrate_nanos = cost.total_nanos - cost.resolve_nanos;
-  if (trace != nullptr) {
-    trace->Annotate(answer.missed ? "missed" : "estimate",
-                    answer.missed ? 1.0 : answer.estimate);
-  }
+  answer.exec_micros = static_cast<double>(cost.total_nanos) / 1000.0;
   if (explain != nullptr) {
     core_.Explain(region, query, kind, bound, answer, explain);
   }
@@ -118,7 +101,7 @@ std::vector<double> SampledQueryProcessor::AnswerSeries(
   ResolvedRegion& region = ws.region;
   core_.Resolve(query.junctions, bound, nullptr, DegradedOptions{}, ws,
                 &region);
-  cost.resolve_nanos = Nanos(timer);
+  cost.resolve_nanos = timer.ElapsedNanos();
   core_.Account(region, query, CountKind::kStatic, bound, &cost);
   if (region.missed) {
     cost.total_nanos = cost.resolve_nanos;
@@ -152,7 +135,7 @@ std::vector<double> SampledQueryProcessor::AnswerSeries(
       series[i] = core_.view().StaticCount(edges, ws.series[i]);
     }
   }
-  cost.total_nanos = Nanos(timer);
+  cost.total_nanos = timer.ElapsedNanos();
   cost.integrate_nanos = cost.total_nanos - cost.resolve_nanos;
   return series;
 }
@@ -196,7 +179,7 @@ QueryAnswer UnsampledQueryProcessor::Answer(const RangeQuery& query,
           {network_->VirtualEdgeOf(u), /*inward_is_forward=*/true});
     }
   }
-  cost.resolve_nanos = Nanos(timer);
+  cost.resolve_nanos = timer.ElapsedNanos();
   answer.estimate =
       kind == CountKind::kStatic
           ? forms::EvaluateStaticCount(network_->reference_store(),
@@ -206,7 +189,7 @@ QueryAnswer UnsampledQueryProcessor::Answer(const RangeQuery& query,
                                           query.t2);
   answer.interval = forms::CountInterval::Point(answer.estimate);
   answer.edges_accessed = ws.boundary_edges.size();
-  cost.integrate_nanos = Nanos(timer) - cost.resolve_nanos;
+  cost.integrate_nanos = timer.ElapsedNanos() - cost.resolve_nanos;
 
   // Flooding cost: every sensor whose face touches a junction of the region
   // participates in the in-network aggregation. Stamped dedup — the same
@@ -228,10 +211,10 @@ QueryAnswer UnsampledQueryProcessor::Answer(const RangeQuery& query,
     }
   }
   answer.nodes_accessed = sensors;
-  answer.exec_micros = timer.ElapsedMicros();
   cost.boundary_edges = ws.boundary_edges.size();
   cost.boundary_sensors = sensors;
-  cost.total_nanos = Nanos(timer);
+  cost.total_nanos = timer.ElapsedNanos();
+  answer.exec_micros = static_cast<double>(cost.total_nanos) / 1000.0;
   if (explain != nullptr) {
     explain->kind = CountKindName(kind);
     explain->bound = "exact";

@@ -12,7 +12,6 @@
 #include "forms/edge_count_store.h"
 #include "forms/store_handle.h"
 #include "obs/explain.h"
-#include "obs/trace.h"
 
 namespace innet::core {
 
@@ -41,8 +40,6 @@ class SampledQueryProcessor {
   /// Approximates the query under the given bound mode. A miss (no face of
   /// G̃ satisfies the bound) reports estimate 0 with missed = true.
   ///
-  /// `trace` (optional) records the boundary-resolution and
-  /// form-integration stage spans of this query (docs/OBSERVABILITY.md).
   /// Every call also feeds the `innet_processor_*` metrics of the global
   /// registry. `explain` (optional) receives the answer's provenance —
   /// resolved faces, dead-space fraction, boundary size, store family —
@@ -54,8 +51,7 @@ class SampledQueryProcessor {
   /// (obs/query_cost.h) with this query's cost account — plain stores,
   /// still zero allocations.
   QueryAnswer Answer(const RangeQuery& query, CountKind kind,
-                     BoundMode bound, obs::QueryTrace* trace = nullptr,
-                     obs::ExplainRecord* explain = nullptr,
+                     BoundMode bound, obs::ExplainRecord* explain = nullptr,
                      QueryWorkspace* workspace = nullptr) const;
 
   /// Fault-tolerant answering (docs/FAULTS.md): when the resolved region's
@@ -68,7 +64,6 @@ class SampledQueryProcessor {
   QueryAnswer AnswerDegraded(const RangeQuery& query, CountKind kind,
                              BoundMode bound, const SensorHealthView& health,
                              const DegradedOptions& options,
-                             obs::QueryTrace* trace = nullptr,
                              obs::ExplainRecord* explain = nullptr) const;
 
   /// Time-series evaluation: static counts of the query's region at
@@ -88,7 +83,7 @@ class SampledQueryProcessor {
   QueryAnswer AnswerServed(const RangeQuery& query, CountKind kind,
                            BoundMode bound, const SensorHealthView* health,
                            const DegradedOptions* options,
-                           obs::QueryTrace* trace, obs::ExplainRecord* explain,
+                           obs::ExplainRecord* explain,
                            QueryWorkspace& ws) const;
 
   // `mutable` only so the const entry points can follow a published store:

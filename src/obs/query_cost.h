@@ -13,8 +13,8 @@
 // zero-allocation warm-path contract intact with profiling enabled.
 //
 // Layering: obs sits below core, so this header names graph concepts only
-// through small integers. core/runtime fill the fields; obs::QueryDigestTable
-// and obs::SlowQueryLog consume them.
+// through small integers. core/runtime fill the fields; obs::QueryDigestTable,
+// obs::SlowQueryLog and obs::Tracer consume them.
 #ifndef INNET_OBS_QUERY_COST_H_
 #define INNET_OBS_QUERY_COST_H_
 
@@ -85,8 +85,9 @@ class RegionDecileBuckets {
 };
 
 /// Cost account of one answered query. Filled by SampledQueryProcessor /
-/// UnsampledQueryProcessor (into QueryWorkspace::cost) and by
-/// runtime::BatchQueryEngine (stack local) for every answered query.
+/// UnsampledQueryProcessor (into QueryWorkspace::cost) for every query, and
+/// by runtime::BatchQueryEngine (stack local) for every query it answers
+/// while a digest table, slow log or tracer listens.
 struct QueryCostProfile {
   // --- Classification (the digest key axes). ---
   /// 0 = static count, 1 = transient count.
@@ -102,6 +103,9 @@ struct QueryCostProfile {
   // --- Outcome flags (aggregated per digest, not key axes). ---
   bool missed = false;
   bool degraded = false;
+  /// Served under a health view: resolution reroutes around failed sensors
+  /// and the answer is an interval (docs/FAULTS.md §3).
+  bool health_aware = false;
 
   // --- Structural work counters. ---
   /// Sampled faces whose union covered the region (0 on the exact path).
@@ -121,12 +125,18 @@ struct QueryCostProfile {
   /// Store generation the answer was served at (0 outside handle mode).
   uint64_t store_generation = 0;
 
-  // --- Per-stage wall time, nanoseconds (span-equivalent timing without
-  // requiring the query to be trace-sampled). resolve_nanos is charged 0
-  // on an engine cache hit: resolution there is a hash probe, and skipping
-  // its clock read keeps the warmest path cheap, so integrate == total for
-  // hits. ---
+  // --- Per-stage wall time, nanoseconds: total = resolve + integrate.
+  // The only per-query stage-timing record; obs::Tracer renders sampled
+  // profiles as stage traces (docs/OBSERVABILITY.md §2). ---
+  /// Until the resolved region was in hand: the engine's cache probe plus,
+  /// on a miss, fresh resolution.
   uint64_t resolve_nanos = 0;
+  /// Of resolve_nanos: the engine's region signature and boundary-cache
+  /// probe (0 on processor paths).
+  uint64_t cache_lookup_nanos = 0;
+  /// Of resolve_nanos: the boundary's reroute around failed sensors
+  /// (core::ResolveDegradedBoundary), under a health view only.
+  uint64_t reroute_nanos = 0;
   uint64_t integrate_nanos = 0;
   uint64_t total_nanos = 0;
 };

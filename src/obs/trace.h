@@ -1,46 +1,52 @@
-// Scoped per-query trace spans (docs/OBSERVABILITY.md).
+// Sampled per-query stage traces (docs/OBSERVABILITY.md §2).
 //
-// A QueryTrace records the stage breakdown of one query — boundary
-// resolution, cache lookup, form integration, degraded rerouting, dispatch
-// — as (name, start offset, duration, nesting depth) records plus numeric
-// annotations (estimate, cache_hit, ...). Traces are sampled: the Tracer
-// hands out a trace for 1 of every `sample_every` queries and keeps the
-// most recent `ring_capacity` finished traces in a ring buffer.
-//
-// Recording is single-threaded per trace: each query owns its trace for
-// the duration of its evaluation (worker threads never share one), so
-// Span/Annotate need no synchronization. Only Finish() and Drain() touch
-// the shared ring and are locked.
+// A trace is a rendering of one answered engine query's QueryCostProfile
+// (obs/query_cost.h), the record the engine fills for every query while a
+// digest table, slow log or tracer listens. The Tracer copies 1 of every
+// `sample_every` profiles into a ring allocated once at construction, so
+// recording never allocates; QueryTrace values — stage names, offsets,
+// nesting, annotations — are built only when the ring is read.
 #ifndef INNET_OBS_TRACE_H_
 #define INNET_OBS_TRACE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "util/timer.h"
+#include "obs/query_cost.h"
 
 namespace innet::obs {
 
-/// One completed (or in-flight) span inside a query trace.
+/// One stage of a query trace.
 struct TraceStage {
   std::string name;
-  /// Offset of the span start from the trace start.
+  /// Offset of the stage start from the query start.
   double start_micros = 0.0;
   double elapsed_micros = 0.0;
-  /// 0 for top-level spans, +1 per enclosing live span.
+  /// 0 for top-level stages, 1 for a stage nested inside one.
   int depth = 0;
 };
 
-/// Stage record of one sampled query. Created by Tracer::StartQuery.
+/// Stage breakdown of one sampled engine query, rendered from its profile
+/// (docs/OBSERVABILITY.md §2 maps each stage to its field):
+///
+///   cache_lookup          [0, cache_lookup)
+///   boundary_resolution   [cache_lookup, resolve)  on a cache miss
+///     degraded_reroute    ending at resolve        ... under a health view
+///   form_integration      [resolve, total)         unless the region missed
+///     or degraded_answer                           ... under a health view
+///
+/// annotated with cache_hit, estimate, missed, degraded and exec_micros.
+/// The profile records the reroute's duration, not its offset, so that
+/// nested stage is drawn flush with the end of its parent.
 class QueryTrace {
  public:
-  explicit QueryTrace(uint64_t id) : id_(id) {}
+  QueryTrace(uint64_t id, const QueryCostProfile& profile, double estimate,
+             bool cache_hit);
 
   uint64_t id() const { return id_; }
   const std::vector<TraceStage>& stages() const { return stages_; }
@@ -48,84 +54,72 @@ class QueryTrace {
     return annotations_;
   }
 
-  /// Attaches a numeric fact to the trace (estimate, cache_hit, ...).
-  void Annotate(const std::string& key, double value) {
-    annotations_.emplace_back(key, value);
-  }
-
-  /// Total time from StartQuery to the last finished span.
+  /// The query's whole evaluation time, its exec_micros.
   double TotalMicros() const { return total_micros_; }
 
  private:
-  friend class Span;
-  friend class Tracer;
-
   uint64_t id_;
-  util::Timer timer_;
-  int depth_ = 0;
-  double total_micros_ = 0.0;
+  double total_micros_;
   std::vector<TraceStage> stages_;
   std::vector<std::pair<std::string, double>> annotations_;
 };
 
-/// RAII stage span. A null trace makes every operation a no-op, so call
-/// sites stay unconditional:
-///
-///   obs::Span span(trace, "boundary_resolution");   // trace may be null
-class Span {
- public:
-  Span(QueryTrace* trace, const char* stage);
-  ~Span();
-
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
- private:
-  QueryTrace* trace_;
-  size_t index_ = 0;
-};
-
 /// Trace sampling and retention knobs.
 struct TracerOptions {
-  /// Finished traces retained (oldest evicted first).
+  /// Sampled queries retained (oldest evicted first).
   size_t ring_capacity = 256;
   /// Sample 1 of every N queries; 0 disables tracing entirely.
   uint64_t sample_every = 1;
 };
 
-/// Hands out sampled QueryTraces and retains finished ones.
+/// Samples answered queries' cost profiles into a fixed ring.
 class Tracer {
  public:
   explicit Tracer(const TracerOptions& options);
 
-  /// Returns a trace for sampled queries, nullptr otherwise. Thread-safe.
-  std::unique_ptr<QueryTrace> StartQuery();
-
-  /// Publishes a finished trace into the ring. Null traces are ignored, so
-  /// `tracer.Finish(std::move(trace))` is safe on the unsampled path.
-  void Finish(std::unique_ptr<QueryTrace> trace);
+  /// Offers one answered query; every `sample_every`-th (the first
+  /// included) is copied into the ring. Thread-safe, allocation-free.
+  void Record(const QueryCostProfile& profile, double estimate,
+              bool cache_hit);
 
   /// Removes and returns every retained trace, oldest first.
   std::vector<std::unique_ptr<QueryTrace>> Drain();
 
-  /// Deep-copies the retained traces, oldest first, without draining — the
-  /// /traces telemetry endpoint reads the ring while queries keep
-  /// finishing into it.
+  /// The retained traces, oldest first, without draining — the /traces
+  /// telemetry endpoint reads the ring while queries keep arriving.
   std::vector<std::unique_ptr<QueryTrace>> SnapshotRing() const;
 
+  /// Queries offered to Record.
   uint64_t Started() const {
     return started_.load(std::memory_order_relaxed);
   }
+  /// Queries copied into the ring, evicted ones included.
   uint64_t Sampled() const {
-    return sampled_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return written_;
   }
 
  private:
-  TracerOptions options_;
+  struct Sample {
+    uint64_t id = 0;
+    QueryCostProfile profile;
+    double estimate = 0.0;
+    bool cache_hit = false;
+  };
+
+  /// Copies the retained samples, oldest first. Caller holds mutex_.
+  std::vector<Sample> RetainedLocked() const;
+  static std::vector<std::unique_ptr<QueryTrace>> Render(
+      const std::vector<Sample>& samples);
+
+  uint64_t sample_every_;
   std::atomic<uint64_t> started_{0};
-  std::atomic<uint64_t> sampled_{0};
   mutable std::mutex mutex_;
-  std::deque<std::unique_ptr<QueryTrace>> ring_;
+  std::vector<Sample> ring_;
+  // Samples ever written (the next slot is written_ % capacity) and those
+  // retained since the last Drain. Guarded by mutex_.
+  uint64_t written_ = 0;
+  size_t retained_ = 0;
 };
 
 }  // namespace innet::obs

@@ -24,7 +24,6 @@ BatchQueryEngine::BatchQueryEngine(core::AnswerCore core,
     : core_(std::move(core)),
       health_(options.health),
       degraded_options_(options.degraded),
-      tracer_(options.tracer),
       cache_enabled_(options.cache_capacity > 0),
       owned_registry_(options.registry != nullptr
                           ? nullptr
@@ -62,6 +61,7 @@ BatchQueryEngine::BatchQueryEngine(core::AnswerCore core,
       pool_(options.num_threads) {
   digest_ = options.digest;
   slowlog_ = options.slowlog;
+  tracer_ = options.tracer;
   if (health_ != nullptr) {
     last_health_generation_.store(health_->Generation(),
                                   std::memory_order_relaxed);
@@ -91,27 +91,24 @@ BatchQueryEngine::~BatchQueryEngine() {
 
 std::shared_ptr<const core::ResolvedRegion> BatchQueryEngine::Resolve(
     const core::RangeQuery& query, core::BoundMode bound,
-    obs::QueryTrace* trace, bool* was_cache_hit) {
-  *was_cache_hit = false;
+    const util::Timer& timer, obs::QueryCostProfile* cost,
+    bool* was_cache_hit) {
   RegionSignature key = SignRegion(query.junctions, bound);
-  {
-    obs::Span span(trace, "cache_lookup");
-    if (std::shared_ptr<const core::ResolvedRegion> hit = cache_.Lookup(key)) {
-      if (trace != nullptr) trace->Annotate("cache_hit", 1.0);
-      *was_cache_hit = true;
-      return hit;
-    }
+  std::shared_ptr<const core::ResolvedRegion> hit = cache_.Lookup(key);
+  if (cost != nullptr) {
+    cost->cache_lookup_nanos = cost->resolve_nanos = timer.ElapsedNanos();
   }
-  if (trace != nullptr) trace->Annotate("cache_hit", 0.0);
-  obs::Span span(trace, "boundary_resolution");
+  *was_cache_hit = hit != nullptr;
+  if (hit != nullptr) return hit;
   // Cold path: resolve through the calling worker's thread-local workspace
   // into an OWNED immutable entry — cached regions must not alias mutable
   // scratch. The copies are the cold path's only allocations; a warm
   // (cache-hit) query never reaches here.
   auto resolved = std::make_shared<core::ResolvedRegion>();
   core_.Resolve(query.junctions, bound, health_, degraded_options_,
-                core::LocalWorkspace(), resolved.get(), trace);
+                core::LocalWorkspace(), resolved.get(), cost);
   cache_.Insert(key, resolved);
+  if (cost != nullptr) cost->resolve_nanos = timer.ElapsedNanos();
   return resolved;
 }
 
@@ -119,39 +116,30 @@ core::QueryAnswer BatchQueryEngine::AnswerOne(const core::RangeQuery& query,
                                               core::CountKind kind,
                                               core::BoundMode bound,
                                               obs::ExplainRecord* explain) {
-  std::unique_ptr<obs::QueryTrace> trace =
-      tracer_ != nullptr ? tracer_->StartQuery() : nullptr;
   util::Timer timer;
-  bool cache_hit = false;
-  const bool profiling = digest_ != nullptr || slowlog_ != nullptr;
-  std::shared_ptr<const core::ResolvedRegion> resolved =
-      Resolve(query, bound, trace.get(), &cache_hit);
-  // Stage checkpoint for the cost profile — one clock read, taken only
-  // when a digest table or slow log is listening AND the resolution did
-  // real work. On a cache hit resolution is a hash probe, so charging it
-  // zero keeps the warmest path free of the extra clock read.
-  double resolve_micros =
-      profiling && !cache_hit ? timer.ElapsedMicros() : 0.0;
-  // Stack-assembled profile: plain stores plus the counts the resolution
-  // fixed — no allocation, no extra passes on a warm cache hit.
+  // One stack-assembled cost profile (plain stores, no allocation) whenever
+  // a digest table, slow log or tracer listens. Its stage checkpoints are
+  // the only clock reads beyond the latency pair, none without a listener.
+  const bool profiling =
+      digest_ != nullptr || slowlog_ != nullptr || tracer_ != nullptr;
   obs::QueryCostProfile profile;
+  obs::QueryCostProfile* cost = profiling ? &profile : nullptr;
+  bool cache_hit = false;
+  std::shared_ptr<const core::ResolvedRegion> resolved =
+      Resolve(query, bound, timer, cost, &cache_hit);
   profile.path = !cache_enabled_ ? obs::QueryPathKind::kUncached
                  : cache_hit     ? obs::QueryPathKind::kCacheHit
                                  : obs::QueryPathKind::kCacheMiss;
-  core::QueryAnswer answer;
-  {
-    obs::Span span(resolved->missed ? nullptr : trace.get(),
-                   health_ != nullptr ? "degraded_answer" : "form_integration");
-    answer = core_.Answer(*resolved, query, kind, bound,
-                          health_ != nullptr ? &degraded_options_ : nullptr,
-                          profiling ? &profile : nullptr);
-  }
+  core::QueryAnswer answer =
+      core_.Answer(*resolved, query, kind, bound,
+                   health_ != nullptr ? &degraded_options_ : nullptr, cost);
   if (answer.missed) {
     (bound == core::BoundMode::kLower ? missed_lower_ : missed_upper_)
         ->Increment();
   }
   if (answer.degraded) degraded_answers_->Increment();
-  answer.exec_micros = timer.ElapsedMicros();
+  const uint64_t exec_nanos = timer.ElapsedNanos();
+  answer.exec_micros = static_cast<double>(exec_nanos) / 1000.0;
   queries_answered_->Increment();
   latency_micros_->Observe(answer.exec_micros);
   // Explain records are assembled on request, or lazily for the
@@ -163,13 +151,11 @@ core::QueryAnswer BatchQueryEngine::AnswerOne(const core::RangeQuery& query,
   };
   if (explain != nullptr) explain_into(explain);
   if (profiling) {
-    profile.resolve_nanos = static_cast<uint64_t>(resolve_micros * 1000.0);
-    profile.total_nanos =
-        static_cast<uint64_t>(answer.exec_micros * 1000.0);
-    profile.integrate_nanos =
-        profile.total_nanos > profile.resolve_nanos
-            ? profile.total_nanos - profile.resolve_nanos
-            : 0;
+    profile.total_nanos = exec_nanos;
+    profile.integrate_nanos = exec_nanos - profile.resolve_nanos;
+    if (tracer_ != nullptr) {
+      tracer_->Record(profile, answer.estimate, cache_hit);
+    }
     if (digest_ != nullptr) digest_->Record(profile);
     if (slowlog_ != nullptr && slowlog_->IsSlow(profile) &&
         slowlog_->Admit()) {
@@ -180,13 +166,6 @@ core::QueryAnswer BatchQueryEngine::AnswerOne(const core::RangeQuery& query,
   }
   if (accuracy_ != nullptr) {
     MaybeEnqueueShadow(query, answer, kind, bound, resolved);
-  }
-  if (trace != nullptr) {
-    trace->Annotate("estimate", answer.estimate);
-    trace->Annotate("missed", answer.missed ? 1.0 : 0.0);
-    trace->Annotate("degraded", answer.degraded ? 1.0 : 0.0);
-    trace->Annotate("exec_micros", answer.exec_micros);
-    tracer_->Finish(std::move(trace));
   }
   return answer;
 }

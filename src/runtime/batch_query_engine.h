@@ -44,6 +44,7 @@
 #include "obs/trace.h"
 #include "runtime/boundary_cache.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace innet::runtime {
 
@@ -80,9 +81,9 @@ struct BatchEngineOptions {
   /// views. Must outlive the engine when provided.
   obs::MetricsRegistry* registry = nullptr;
 
-  /// Optional per-query stage tracer. When set, every AnswerOne consults
-  /// the tracer's sampling knob and sampled queries record their stage
-  /// breakdown (cache lookup, boundary resolution, degraded reroute, form
+  /// Optional per-query stage tracer. When set, every answered query's
+  /// cost profile is offered to it, and the sampled ones are kept as stage
+  /// breakdowns (cache lookup, boundary resolution, degraded reroute, form
   /// integration). Must outlive the engine.
   obs::Tracer* tracer = nullptr;
 
@@ -212,11 +213,12 @@ class BatchQueryEngine {
   };
 
   /// Cache-through resolution of one query region under `bound` (through
-  /// the core, under the health view when set). `trace` may be null;
-  /// sampled queries record lookup/resolution spans into it.
+  /// the core, under the health view when set). `cost` (optional) receives
+  /// the probe, resolution and reroute times, read off `timer`.
   std::shared_ptr<const core::ResolvedRegion> Resolve(
       const core::RangeQuery& query, core::BoundMode bound,
-      obs::QueryTrace* trace, bool* was_cache_hit);
+      const util::Timer& timer, obs::QueryCostProfile* cost,
+      bool* was_cache_hit);
 
   core::QueryAnswer AnswerOne(const core::RangeQuery& query,
                               core::CountKind kind, core::BoundMode bound,
@@ -251,12 +253,13 @@ class BatchQueryEngine {
   core::AnswerCore core_;
   const core::SensorHealthView* health_;
   core::DegradedOptions degraded_options_;
-  obs::Tracer* tracer_;
   bool cache_enabled_ = false;
 
-  // Cost accounting (options.digest / options.slowlog).
+  // Cost-profile listeners (options.digest / options.slowlog /
+  // options.tracer).
   obs::QueryDigestTable* digest_ = nullptr;
   obs::SlowQueryLog* slowlog_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;
 
   // Private registry when the options carried none; registry_ points at
   // whichever backs this engine.

@@ -3,6 +3,7 @@
 #define INNET_UTIL_TIMER_H_
 
 #include <chrono>
+#include <cstdint>
 
 namespace innet::util {
 
@@ -20,6 +21,14 @@ class Timer {
 
   /// Elapsed time in microseconds.
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
+
+  /// Elapsed time in whole nanoseconds.
+  uint64_t ElapsedNanos() const {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start_)
+            .count());
+  }
 
  private:
   using Clock = std::chrono::steady_clock;

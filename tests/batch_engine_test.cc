@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/framework.h"
 #include "core/workload.h"
+#include "faults/fault_model.h"
 #include "forms/frozen_tracking_form.h"
 #include "obs/metrics.h"
+#include "obs/query_digest.h"
 #include "obs/trace.h"
 #include "runtime/batch_query_engine.h"
 #include "runtime/boundary_cache.h"
@@ -259,6 +262,22 @@ TEST_F(BatchEngineFixture, SnapshotAgreesWithRegistryBitForBit) {
   EXPECT_EQ(counter("innet_cache_hits"), 0u);
 }
 
+double Annotation(const obs::QueryTrace& trace, const std::string& key) {
+  for (const auto& [name, value] : trace.annotations()) {
+    if (name == key) return value;
+  }
+  ADD_FAILURE() << "trace " << trace.id() << " lacks annotation " << key;
+  return -1.0;
+}
+
+std::vector<std::string> StageNames(const obs::QueryTrace& trace) {
+  std::vector<std::string> names;
+  for (const obs::TraceStage& stage : trace.stages()) {
+    names.push_back(stage.name);
+  }
+  return names;
+}
+
 TEST_F(BatchEngineFixture, TracerRecordsSampledStageBreakdowns) {
   obs::TracerOptions tracer_options;
   tracer_options.ring_capacity = 64;
@@ -290,6 +309,95 @@ TEST_F(BatchEngineFixture, TracerRecordsSampledStageBreakdowns) {
   }
   // Drain empties the ring.
   EXPECT_TRUE(tracer.Drain().empty());
+
+  // Every query sampled, serially, so trace i is query i. A trace is its
+  // query's cost profile: per served path the stages tile [0, exec_micros],
+  // and the traced total time is the digest's to the nanosecond.
+  obs::Tracer every(obs::TracerOptions{queries_.size(), 1});
+  obs::QueryDigestTable digest;
+  BatchEngineOptions serial;
+  serial.tracer = &every;
+  serial.digest = &digest;
+  BatchQueryEngine traced(deployment_->graph(), deployment_->store(), serial);
+  std::vector<QueryAnswer> answers =
+      traced.AnswerBatch(queries_, CountKind::kStatic, BoundMode::kLower);
+  traces = every.Drain();
+  ASSERT_EQ(traces.size(), queries_.size());
+  size_t hits = 0;
+  double traced_micros = 0.0;
+  for (size_t i = 0; i < traces.size(); ++i) {
+    const obs::QueryTrace& trace = *traces[i];
+    EXPECT_EQ(trace.id(), i);
+    bool hit = Annotation(trace, "cache_hit") == 1.0;
+    hits += hit ? 1 : 0;
+    std::vector<std::string> want = {"cache_lookup"};
+    if (!hit) want.push_back("boundary_resolution");
+    if (!answers[i].missed) want.push_back("form_integration");
+    EXPECT_EQ(StageNames(trace), want) << "query " << i;
+    EXPECT_EQ(trace.TotalMicros(), answers[i].exec_micros) << "query " << i;
+    EXPECT_EQ(Annotation(trace, "exec_micros"), answers[i].exec_micros);
+    EXPECT_EQ(Annotation(trace, "estimate"), answers[i].estimate);
+    double end = 0.0;
+    for (const obs::TraceStage& stage : trace.stages()) {
+      EXPECT_NEAR(stage.start_micros, end, 1e-9) << "query " << i;
+      end = stage.start_micros + stage.elapsed_micros;
+    }
+    if (!answers[i].missed) {
+      EXPECT_NEAR(end, trace.TotalMicros(), 1e-9) << "query " << i;
+    }
+    traced_micros += trace.TotalMicros();
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, traces.size());
+  double digest_micros = 0.0;
+  for (const obs::QueryDigestRow& row : digest.TopK(SIZE_MAX)) {
+    digest_micros += row.total_micros;
+  }
+  EXPECT_NEAR(traced_micros, digest_micros, 1e-9 * digest_micros);
+}
+
+TEST_F(BatchEngineFixture, TracerNestsTheDegradedRerouteInResolution) {
+  faults::FaultOptions fault_options;
+  fault_options.seed = 11;
+  fault_options.dead_sensor_fraction = 0.12;
+  faults::FaultModel model(framework_.network(), fault_options);
+  obs::Tracer tracer(obs::TracerOptions{queries_.size(), 1});
+  BatchEngineOptions options;
+  options.health = &model;
+  options.tracer = &tracer;
+  BatchQueryEngine engine(deployment_->graph(), deployment_->store(),
+                          options);
+  std::vector<QueryAnswer> answers =
+      engine.AnswerBatch(queries_, CountKind::kStatic, BoundMode::kLower);
+  std::vector<std::unique_ptr<obs::QueryTrace>> traces = tracer.Drain();
+  ASSERT_EQ(traces.size(), queries_.size());
+  size_t degraded = 0;
+  for (size_t i = 0; i < traces.size(); ++i) {
+    const obs::QueryTrace& trace = *traces[i];
+    if (answers[i].missed) continue;
+    degraded += answers[i].degraded ? 1 : 0;
+    EXPECT_EQ(Annotation(trace, "degraded"), answers[i].degraded ? 1.0 : 0.0);
+    const std::vector<obs::TraceStage>& stages = trace.stages();
+    if (Annotation(trace, "cache_hit") == 1.0) {
+      EXPECT_EQ(StageNames(trace), (std::vector<std::string>{
+                                       "cache_lookup", "degraded_answer"}));
+      continue;
+    }
+    ASSERT_EQ(StageNames(trace),
+              (std::vector<std::string>{"cache_lookup", "boundary_resolution",
+                                        "degraded_reroute",
+                                        "degraded_answer"}))
+        << "query " << i;
+    const obs::TraceStage& resolution = stages[1];
+    const obs::TraceStage& reroute = stages[2];
+    EXPECT_EQ(resolution.depth, 0);
+    EXPECT_EQ(reroute.depth, 1);
+    EXPECT_GE(reroute.start_micros, resolution.start_micros - 1e-9);
+    EXPECT_NEAR(reroute.start_micros + reroute.elapsed_micros,
+                resolution.start_micros + resolution.elapsed_micros, 1e-9);
+    EXPECT_EQ(stages[3].depth, 0);
+  }
+  EXPECT_GT(degraded, 0u);
 }
 
 TEST_F(BatchEngineFixture, DisabledCacheStillAnswersCorrectly) {

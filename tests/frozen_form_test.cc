@@ -325,10 +325,8 @@ TEST_F(FrozenDeploymentFixture, ExplainRecordsAreIdentical) {
   for (const core::RangeQuery& q : queries_) {
     obs::ExplainRecord a;
     obs::ExplainRecord b;
-    reference.Answer(q, core::CountKind::kStatic, core::BoundMode::kLower,
-                     nullptr, &a);
-    fast.Answer(q, core::CountKind::kStatic, core::BoundMode::kLower, nullptr,
-                &b);
+    reference.Answer(q, core::CountKind::kStatic, core::BoundMode::kLower, &a);
+    fast.Answer(q, core::CountKind::kStatic, core::BoundMode::kLower, &b);
     EXPECT_EQ(a.faces, b.faces);
     EXPECT_EQ(a.answer, b.answer);
     EXPECT_EQ(a.resolved_cells, b.resolved_cells);

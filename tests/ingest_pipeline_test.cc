@@ -379,8 +379,7 @@ TEST_F(IngestDeploymentFixture, ConcurrentWriterAndEightReaders) {
         const core::RangeQuery& q = queries_[i++ % queries_.size()];
         core::QueryAnswer a =
             processor.Answer(q, core::CountKind::kStatic,
-                             core::BoundMode::kLower, nullptr, nullptr,
-                             &workspace);
+                             core::BoundMode::kLower, nullptr, &workspace);
         EXPECT_GE(a.estimate, 0.0);
         answers.fetch_add(1, std::memory_order_relaxed);
       }

@@ -169,45 +169,85 @@ TEST(RegistryTest, DedupsByNameAndListsInOrder) {
   EXPECT_EQ(registry.GetHistogram("h", {1.0, 2.0}).Count(), 0u);
 }
 
-TEST(TraceTest, NestedAndOverlappingSpansRecordDepth) {
-  QueryTrace trace(42);
-  {
-    Span outer(&trace, "outer");
-    { Span inner(&trace, "inner"); }
-    { Span inner2(&trace, "inner2"); }
-  }
-  { Span after(&trace, "after"); }
-  trace.Annotate("estimate", 12.5);
+// A cache miss under a health view: the profile's stage times, nanoseconds.
+QueryCostProfile DegradedMissProfile() {
+  QueryCostProfile profile;
+  profile.health_aware = true;
+  profile.degraded = true;
+  profile.cache_lookup_nanos = 1000;
+  profile.reroute_nanos = 2000;
+  profile.resolve_nanos = 6000;
+  profile.integrate_nanos = 4000;
+  profile.total_nanos = 10000;
+  return profile;
+}
+
+std::vector<std::string> StageNames(const QueryTrace& trace) {
+  std::vector<std::string> names;
+  for (const TraceStage& stage : trace.stages()) names.push_back(stage.name);
+  return names;
+}
+
+TEST(TraceTest, ProfileRendersNestedStages) {
+  Tracer tracer(TracerOptions{});
+  tracer.Record(DegradedMissProfile(), 12.5, /*cache_hit=*/false);
+  std::vector<std::unique_ptr<QueryTrace>> traces = tracer.Drain();
+  ASSERT_EQ(traces.size(), 1u);
+  const QueryTrace& trace = *traces[0];
 
   const std::vector<TraceStage>& stages = trace.stages();
-  ASSERT_EQ(stages.size(), 4u);
-  EXPECT_EQ(stages[0].name, "outer");
-  EXPECT_EQ(stages[0].depth, 0);
-  EXPECT_EQ(stages[1].name, "inner");
-  EXPECT_EQ(stages[1].depth, 1);
-  EXPECT_EQ(stages[2].name, "inner2");
+  ASSERT_EQ(StageNames(trace),
+            (std::vector<std::string>{"cache_lookup", "boundary_resolution",
+                                      "degraded_reroute", "degraded_answer"}));
+  EXPECT_EQ(stages[0].start_micros, 0.0);
+  EXPECT_EQ(stages[0].elapsed_micros, 1.0);
+  EXPECT_EQ(stages[1].start_micros, 1.0);
+  EXPECT_EQ(stages[1].elapsed_micros, 5.0);
+  // The reroute nests inside resolution, flush with its end.
   EXPECT_EQ(stages[2].depth, 1);
-  EXPECT_EQ(stages[3].name, "after");
-  EXPECT_EQ(stages[3].depth, 0);
+  EXPECT_EQ(stages[2].start_micros, 4.0);
+  EXPECT_EQ(stages[2].elapsed_micros, 2.0);
+  EXPECT_EQ(stages[3].start_micros, 6.0);
+  EXPECT_EQ(stages[3].elapsed_micros, 4.0);
+  for (size_t i : {0, 1, 3}) EXPECT_EQ(stages[i].depth, 0);
+  EXPECT_EQ(trace.TotalMicros(), 10.0);
 
-  // Children start no earlier than the parent and end within it (span
-  // bookkeeping, not wall-clock flakiness: these are offsets of the same
-  // monotonic clock).
-  double outer_end = stages[0].start_micros + stages[0].elapsed_micros;
-  for (size_t i = 1; i <= 2; ++i) {
-    EXPECT_GE(stages[i].start_micros, stages[0].start_micros);
-    EXPECT_LE(stages[i].start_micros + stages[i].elapsed_micros,
-              outer_end + 1e-9);
-  }
-  EXPECT_GE(stages[3].start_micros, outer_end - 1e-9);
-  EXPECT_GE(trace.TotalMicros(),
-            stages[3].start_micros + stages[3].elapsed_micros - 1e-9);
+  std::vector<std::pair<std::string, double>> want = {
+      {"cache_hit", 0.0}, {"estimate", 12.5}, {"missed", 0.0},
+      {"degraded", 1.0},  {"exec_micros", 10.0}};
+  EXPECT_EQ(trace.annotations(), want);
+}
 
-  ASSERT_EQ(trace.annotations().size(), 1u);
-  EXPECT_EQ(trace.annotations()[0].first, "estimate");
+TEST(TraceTest, HitsAndMissedRegionsRenderTheirStages) {
+  Tracer tracer(TracerOptions{});
+  QueryCostProfile hit;
+  hit.cache_lookup_nanos = hit.resolve_nanos = 500;
+  hit.integrate_nanos = 1500;
+  hit.total_nanos = 2000;
+  tracer.Record(hit, 3.0, /*cache_hit=*/true);
+  QueryCostProfile missed = DegradedMissProfile();
+  missed.missed = true;
+  missed.degraded = false;
+  missed.reroute_nanos = 0;
+  tracer.Record(missed, 0.0, /*cache_hit=*/false);
+  QueryCostProfile healthy = DegradedMissProfile();
+  healthy.health_aware = false;
+  healthy.degraded = false;
+  healthy.reroute_nanos = 0;
+  tracer.Record(healthy, 3.0, /*cache_hit=*/false);
 
-  // Null-trace spans are no-ops.
-  Span null_span(nullptr, "ignored");
+  std::vector<std::unique_ptr<QueryTrace>> traces = tracer.Drain();
+  ASSERT_EQ(traces.size(), 3u);
+  EXPECT_EQ(StageNames(*traces[0]),
+            (std::vector<std::string>{"cache_lookup", "form_integration"}));
+  EXPECT_EQ(traces[0]->stages()[1].start_micros, 0.5);
+  EXPECT_EQ(traces[0]->stages()[1].elapsed_micros, 1.5);
+  // A region with no satisfying face is never integrated.
+  EXPECT_EQ(StageNames(*traces[1]),
+            (std::vector<std::string>{"cache_lookup", "boundary_resolution"}));
+  EXPECT_EQ(StageNames(*traces[2]),
+            (std::vector<std::string>{"cache_lookup", "boundary_resolution",
+                                      "form_integration"}));
 }
 
 TEST(TracerTest, SamplingKnobAndRingEviction) {
@@ -215,29 +255,33 @@ TEST(TracerTest, SamplingKnobAndRingEviction) {
   options.sample_every = 3;
   options.ring_capacity = 2;
   Tracer tracer(options);
-  std::vector<uint64_t> sampled_ids;
-  for (int i = 0; i < 10; ++i) {
-    std::unique_ptr<QueryTrace> trace = tracer.StartQuery();
-    if (trace != nullptr) sampled_ids.push_back(trace->id());
-    tracer.Finish(std::move(trace));  // Null-safe.
-  }
+  for (int i = 0; i < 10; ++i) tracer.Record(QueryCostProfile{}, i, false);
   EXPECT_EQ(tracer.Started(), 10u);
   EXPECT_EQ(tracer.Sampled(), 4u);  // Queries 0, 3, 6, 9.
-  ASSERT_EQ(sampled_ids.size(), 4u);
 
-  // The ring keeps only the newest two finished traces.
+  // The ring keeps only the newest two sampled queries; a snapshot leaves
+  // them in place, a drain takes them.
+  ASSERT_EQ(tracer.SnapshotRing().size(), 2u);
   std::vector<std::unique_ptr<QueryTrace>> drained = tracer.Drain();
   ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0]->id(), sampled_ids[2]);
-  EXPECT_EQ(drained[1]->id(), sampled_ids[3]);
+  EXPECT_EQ(drained[0]->id(), 6u);
+  EXPECT_EQ(drained[1]->id(), 9u);
   EXPECT_TRUE(tracer.Drain().empty());
+  tracer.Record(QueryCostProfile{}, 10.0, false);
+  tracer.Record(QueryCostProfile{}, 11.0, false);
+  tracer.Record(QueryCostProfile{}, 12.0, false);
+  drained = tracer.Drain();
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0]->id(), 12u);
 
-  // sample_every = 0 disables tracing entirely.
-  TracerOptions off;
-  off.sample_every = 0;
-  Tracer disabled(off);
-  EXPECT_EQ(disabled.StartQuery(), nullptr);
-  EXPECT_EQ(disabled.Sampled(), 0u);
+  // sample_every = 0 or an empty ring disables tracing entirely.
+  for (TracerOptions off : {TracerOptions{256, 0}, TracerOptions{0, 1}}) {
+    Tracer disabled(off);
+    disabled.Record(QueryCostProfile{}, 1.0, false);
+    EXPECT_EQ(disabled.Started(), 1u);
+    EXPECT_EQ(disabled.Sampled(), 0u);
+    EXPECT_TRUE(disabled.Drain().empty());
+  }
 }
 
 TEST(ExportTest, PrometheusTextFormat) {
@@ -286,17 +330,23 @@ TEST(ExportTest, MetricsAndTracesJsonLines) {
                 "{\"type\":\"counter\",\"name\":\"c\",\"value\":5}"),
             std::string::npos);
 
-  std::vector<std::unique_ptr<QueryTrace>> traces;
-  traces.push_back(std::make_unique<QueryTrace>(7));
-  { Span span(traces.back().get(), "stage_a"); }
-  traces.back()->Annotate("cache_hit", 1.0);
+  // A trace line's bytes are its schema: /traces and --trace-out serve it.
+  Tracer tracer(TracerOptions{});
+  QueryCostProfile hit;
+  hit.cache_lookup_nanos = hit.resolve_nanos = 500;
+  hit.integrate_nanos = 1500;
+  hit.total_nanos = 2000;
+  tracer.Record(hit, 3.0, /*cache_hit=*/true);
   std::ostringstream traces_out;
-  WriteTracesJsonLines(traces, traces_out);
-  std::string trace_line = traces_out.str();
-  EXPECT_NE(trace_line.find("{\"query\":7,\"total_micros\":"),
-            std::string::npos);
-  EXPECT_NE(trace_line.find("\"name\":\"stage_a\""), std::string::npos);
-  EXPECT_NE(trace_line.find("\"cache_hit\":1"), std::string::npos);
+  WriteTracesJsonLines(tracer.Drain(), traces_out);
+  EXPECT_EQ(traces_out.str(),
+            "{\"query\":0,\"total_micros\":2,\"stages\":["
+            "{\"name\":\"cache_lookup\",\"start_micros\":0,\"micros\":0.5,"
+            "\"depth\":0},"
+            "{\"name\":\"form_integration\",\"start_micros\":0.5,"
+            "\"micros\":1.5,\"depth\":0}],"
+            "\"cache_hit\":1,\"estimate\":3,\"missed\":0,\"degraded\":0,"
+            "\"exec_micros\":2}\n");
 }
 
 TEST(ExportTest, JsonEscapeHandlesSpecials) {

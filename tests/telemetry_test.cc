@@ -526,11 +526,7 @@ TEST(TelemetryServerTest, TracesEndpointHonorsLimitAndFormat) {
 
   Tracer tracer(TracerOptions{});
   server.AttachTracer(&tracer);
-  for (int i = 0; i < 5; ++i) {
-    std::unique_ptr<QueryTrace> trace = tracer.StartQuery();
-    { Span span(trace.get(), "resolve_region"); }
-    tracer.Finish(std::move(trace));
-  }
+  for (int i = 0; i < 5; ++i) tracer.Record(QueryCostProfile{}, i, false);
 
   std::string all = Body(
       server.HandleRequest("GET /traces HTTP/1.1\r\n\r\n"));

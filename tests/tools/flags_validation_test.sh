@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Fixture test: innet_query must reject non-positive --trace-sample and
-# --shadow-sample values with a clear error BEFORE touching any input file,
-# and keep accepting positive values.
+# --shadow-sample values, and flag combinations it would otherwise ignore or
+# misapply, with a clear error BEFORE touching any input file, and keep
+# accepting valid ones.
 set -u
 
 dataset_bin=$1
@@ -151,8 +152,8 @@ check_rejected "--readyz-staleness without --serve-telemetry" \
   --batch /nonexistent.txt --sample-fraction 0.3 --readyz-staleness 10
 
 # Cost-accounting flags (docs/OBSERVABILITY.md §9): the slow-query log and
-# the Chrome trace export are batch-only, and their dependent knobs need
-# their parent flag; rejections fire before any file I/O.
+# the trace exports are batch-only, and their dependent knobs need their
+# parent flag; rejections fire before any file I/O.
 check_rejected "--slowlog-out without --batch" \
   "requires --batch" \
   --graph /nonexistent.bin --trips /nonexistent.bin \
@@ -184,6 +185,28 @@ check_rejected "empty --trace-chrome path" \
   "--trace-chrome wants a file path" \
   --graph /nonexistent.bin --trips /nonexistent.bin \
   --batch /nonexistent.txt --sample-fraction 0.3 --trace-chrome ""
+
+# --trace-out is batch-only like --trace-chrome: a single --rect query has
+# no trace ring, so the flag must fail instead of silently writing nothing.
+check_rejected "--trace-out without --batch" \
+  "--trace-out exports the batch-mode trace ring; it requires --batch" \
+  --graph /nonexistent.bin --trips /nonexistent.bin \
+  --rect 0,0,100,100 --trace-out "$tmp/rect-traces.jsonl"
+[ ! -e "$tmp/rect-traces.jsonl" ] || {
+  echo "--trace-out with --rect wrote a file" >&2
+  exit 1
+}
+
+check_rejected "empty --trace-out path" \
+  "--trace-out wants a file path" \
+  --graph /nonexistent.bin --trips /nonexistent.bin \
+  --batch /nonexistent.txt --sample-fraction 0.3 --trace-out ""
+
+# --trace-sample without a reader of the ring would attach no tracer.
+check_rejected "--trace-sample without a trace reader" \
+  "--trace-sample samples the trace ring; it requires --trace-out" \
+  --graph /nonexistent.bin --trips /nonexistent.bin \
+  --batch /nonexistent.txt --sample-fraction 0.3 --trace-sample 4
 
 # Valid cost-accounting flags work end to end: a ~0ms threshold makes every
 # query slow, so the log must fill and the summary line must land on

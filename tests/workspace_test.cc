@@ -14,6 +14,8 @@
 #include "core/query_workspace.h"
 #include "core/workload.h"
 #include "forms/frozen_tracking_form.h"
+#include "obs/query_digest.h"
+#include "obs/trace.h"
 #include "runtime/batch_query_engine.h"
 #include "sampling/samplers.h"
 #include "util/alloc_probe.h"
@@ -86,10 +88,10 @@ TEST_F(WorkspaceFixture, ReusedWorkspaceAnswersMatchFreshWorkspaces) {
     QueryWorkspace fresh;
     QueryAnswer a =
         processor.Answer(q, CountKind::kStatic, BoundMode::kLower, nullptr,
-                         nullptr, &fresh);
+                         &fresh);
     QueryAnswer b =
         processor.Answer(q, CountKind::kStatic, BoundMode::kLower, nullptr,
-                         nullptr, &reused);
+                         &reused);
     // Stamped scratch must behave as if zero-initialized every query.
     EXPECT_EQ(a.estimate, b.estimate);
     EXPECT_EQ(a.missed, b.missed);
@@ -146,18 +148,16 @@ TEST_F(WorkspaceFixture, SampledProcessorWarmPathDoesNotAllocate) {
   // per-thread shards.
   for (int round = 0; round < 2; ++round) {
     for (const RangeQuery& q : queries_) {
-      processor.Answer(q, CountKind::kStatic, BoundMode::kLower, nullptr,
-                       nullptr, &ws);
+      processor.Answer(q, CountKind::kStatic, BoundMode::kLower, nullptr, &ws);
       processor.Answer(q, CountKind::kTransient, BoundMode::kUpper, nullptr,
-                       nullptr, &ws);
+                       &ws);
     }
   }
   util::AllocProbe probe;
   for (const RangeQuery& q : queries_) {
-    processor.Answer(q, CountKind::kStatic, BoundMode::kLower, nullptr,
-                     nullptr, &ws);
+    processor.Answer(q, CountKind::kStatic, BoundMode::kLower, nullptr, &ws);
     processor.Answer(q, CountKind::kTransient, BoundMode::kUpper, nullptr,
-                     nullptr, &ws);
+                     &ws);
   }
   EXPECT_EQ(probe.Delta(), 0u);
 }
@@ -181,21 +181,32 @@ TEST_F(WorkspaceFixture, UnsampledProcessorWarmPathDoesNotAllocate) {
 
 TEST_F(WorkspaceFixture, EngineWarmCacheHitPathDoesNotAllocate) {
   forms::FrozenTrackingForm frozen = deployment_->tracking_store()->Freeze();
-  runtime::BatchEngineOptions options;
-  options.num_threads = 0;  // Serial: the probe window stays single-threaded.
-  runtime::BatchQueryEngine engine(deployment_->graph(), frozen, options);
-  // First pass resolves and caches every region (cold, allocates); the
-  // second warms metric shards and the LRU touch path.
-  for (int round = 0; round < 2; ++round) {
+  // Bare, then with every query traced into the tracer's ring and folded
+  // into a digest table: the profile both read is plain stack data.
+  obs::Tracer tracer(obs::TracerOptions{});
+  obs::QueryDigestTable digest;
+  for (bool traced : {false, true}) {
+    runtime::BatchEngineOptions options;
+    options.num_threads = 0;  // Serial: the probe window is single-threaded.
+    if (traced) {
+      options.tracer = &tracer;
+      options.digest = &digest;
+    }
+    runtime::BatchQueryEngine engine(deployment_->graph(), frozen, options);
+    // First pass resolves and caches every region (cold, allocates); the
+    // second warms metric shards and the LRU touch path.
+    for (int round = 0; round < 2; ++round) {
+      for (const RangeQuery& q : queries_) {
+        engine.Answer(q, CountKind::kStatic, BoundMode::kLower);
+      }
+    }
+    util::AllocProbe probe;
     for (const RangeQuery& q : queries_) {
       engine.Answer(q, CountKind::kStatic, BoundMode::kLower);
     }
+    EXPECT_EQ(probe.Delta(), 0u) << (traced ? "traced" : "bare");
   }
-  util::AllocProbe probe;
-  for (const RangeQuery& q : queries_) {
-    engine.Answer(q, CountKind::kStatic, BoundMode::kLower);
-  }
-  EXPECT_EQ(probe.Delta(), 0u);
+  EXPECT_EQ(tracer.Sampled(), 3 * queries_.size());
 }
 
 }  // namespace

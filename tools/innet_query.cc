@@ -26,11 +26,14 @@
 //
 // Observability (docs/OBSERVABILITY.md): --metrics-out=PATH dumps the
 // process metrics registry on exit (Prometheus text format, or JSON lines
-// when PATH ends in .json/.jsonl); --trace-out=PATH writes one JSON object
-// per sampled query with its stage breakdown, --trace-sample N sampling
-// 1-in-N (batch mode); --trace-chrome=PATH additionally renders the same
-// sampled traces as a Chrome trace-event array for chrome://tracing /
-// Perfetto; --log-level info|warn|error|off sets diagnostic verbosity.
+// when PATH ends in .json/.jsonl); --log-level info|warn|error|off sets
+// diagnostic verbosity. Batch mode keeps 1 of every --trace-sample N
+// queries' cost profiles (default 1) in a trace ring whenever one of its
+// readers is up: --trace-out=PATH writes one JSON object per sampled query
+// with its stage breakdown, --trace-chrome=PATH the same traces as a Chrome
+// trace-event array for chrome://tracing / Perfetto, and /traces serves
+// them under --serve-telemetry. Trace flags without batch mode, and
+// --trace-sample without a reader, are rejected.
 //
 // Cost accounting (docs/OBSERVABILITY.md §9): batch mode accumulates a
 // per-query cost profile into a lock-free digest table (served at /queryz
@@ -627,15 +630,23 @@ int Main(int argc, char** argv) {
                   flags.GetString("slowlog-threshold-ms"));
     }
   }
-  if (flags.Has("trace-chrome")) {
-    if (flags.GetString("trace-chrome").empty()) {
-      return Fail("--trace-chrome wants a file path for the Chrome "
-                  "trace-event JSON");
+  // Trace flags: the ring samples the batch engine's queries, and the
+  // sampling knob needs something that reads the ring.
+  for (const std::string flag : {"trace-out", "trace-chrome"}) {
+    if (!flags.Has(flag)) continue;
+    if (flags.GetString(flag).empty()) {
+      return Fail("--" + flag + " wants a file path for the exported traces");
     }
     if (batch_path.empty()) {
-      return Fail("--trace-chrome exports the batch-mode trace ring; it "
+      return Fail("--" + flag + " exports the batch-mode trace ring; it "
                   "requires --batch FILE");
     }
+  }
+  if (flags.Has("trace-sample") && !flags.Has("trace-out") &&
+      !flags.Has("trace-chrome") && !flags.Has("serve-telemetry")) {
+    return Fail("--trace-sample samples the trace ring; it requires "
+                "--trace-out FILE, --trace-chrome FILE or --serve-telemetry "
+                "PORT");
   }
   if (graph_path.empty() || trips_path.empty() ||
       (rect_text.empty() && batch_path.empty())) {
@@ -741,7 +752,7 @@ int Main(int argc, char** argv) {
     }
     obs::ExplainRecord record;
     core::QueryAnswer answer = processor.Answer(
-        query, kind, bound, nullptr,
+        query, kind, bound,
         explain || !explain_svg.empty() ? &record : nullptr);
     last_explain = record;
     answered_any = true;
