@@ -55,6 +55,8 @@ REQUIRED = {
             "lookup_fused_ns", "lookup_speedup_x",
             "series_virtual_ns_per_step", "series_batch_ns_per_step",
             "series_speedup_x", "warm_query_allocs", "warm_degraded_allocs",
+            "junction_lookup_ns", "junction_lookup_allocs",
+            "junction_lookup_mismatches",
         ],
     },
 }

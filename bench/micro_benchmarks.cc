@@ -8,9 +8,11 @@
 //                  times the virtual (TrackingForm) integration path against
 //                  the fused FrozenTrackingForm kernels on one fixed world —
 //                  healthy boundaries and degraded F-/F+ pairs alike —
-//                  verifies bit-identity, counts warm-path allocations, and
-//                  writes a JsonReport (default BENCH_kernels.json) whose
-//                  schema CI's bench-smoke job validates.
+//                  verifies bit-identity, counts warm-path allocations,
+//                  times the rectangle-to-junction front end against a
+//                  brute-force oracle, and writes a JsonReport (default
+//                  BENCH_kernels.json) whose schema CI's bench-smoke job
+//                  validates.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -245,7 +247,8 @@ void BM_AnswerSeries(benchmark::State& state) {
 BENCHMARK(BM_AnswerSeries)->Arg(0)->Arg(1)->ArgName("frozen");
 
 void BM_RegionResolution(benchmark::State& state) {
-  // R-tree-backed JunctionsInRect (the query-dispatch front end).
+  // JunctionsInRect, the query front end: one SIMD scan over every cell
+  // box (util::simd::BoxesInside).
   const auto& framework = SharedWorld();
   const auto& network = framework.network();
   const geometry::Rect& domain = network.DomainBounds();
@@ -316,6 +319,56 @@ double TimePerCallNs(size_t reps, size_t work, const Fn& fn) {
   for (size_t r = 0; r < reps; ++r) fn();
   return timer.ElapsedMicros() * 1000.0 /
          static_cast<double>(reps * work);
+}
+
+// The query front end: each query rectangle to its junctions through the
+// out-parameter JunctionsInRect — timed, checked against a brute-force
+// Rect::Contains over every cell box (recomputed from FacesAroundNode as
+// the SensorNetwork constructor computes it), and its warm calls counted
+// for allocations.
+struct JunctionLookupRow {
+  double ns = 0.0;
+  uint64_t allocs = 0;
+  size_t mismatches = 0;
+};
+
+JunctionLookupRow MeasureJunctionLookup(
+    const core::SensorNetwork& network,
+    const std::vector<core::RangeQuery>& queries) {
+  const graph::PlanarGraph& mobility = network.mobility();
+  std::vector<geometry::Rect> cells;
+  for (graph::NodeId j = 0; j < mobility.NumNodes(); ++j) {
+    geometry::Rect box(mobility.Position(j).x, mobility.Position(j).y,
+                       mobility.Position(j).x, mobility.Position(j).y);
+    for (graph::FaceId f : mobility.FacesAroundNode(j)) {
+      box.ExpandToInclude(network.sensing().Position(f));
+    }
+    cells.push_back(box);
+  }
+  JunctionLookupRow row;
+  std::vector<graph::NodeId> junctions;
+  for (const core::RangeQuery& q : queries) {
+    std::vector<graph::NodeId> brute;
+    for (graph::NodeId j = 0; j < cells.size(); ++j) {
+      if (q.rect.Contains(cells[j])) brute.push_back(j);
+    }
+    network.JunctionsInRect(q.rect, &junctions);
+    if (junctions != brute) ++row.mismatches;
+  }
+  size_t hits = 0;
+  row.ns = TimePerCallNs(120, queries.size(), [&] {
+    for (const core::RangeQuery& q : queries) {
+      network.JunctionsInRect(q.rect, &junctions);
+      hits += junctions.size();
+    }
+  });
+  util::AllocProbe probe;
+  for (const core::RangeQuery& q : queries) {
+    network.JunctionsInRect(q.rect, &junctions);
+  }
+  row.allocs = probe.Delta();
+  if (hits == 0) std::printf("no query rectangle holds a junction\n");
+  return row;
 }
 
 int KernelReport(const util::FlagParser& flags) {
@@ -534,6 +587,14 @@ int KernelReport(const util::FlagParser& flags) {
   report.Metric("series_speedup_x",
                 series_virtual_ns / std::max(series_batch_ns, 1e-9));
 
+  const JunctionLookupRow lookup_row =
+      MeasureJunctionLookup(framework.network(), queries);
+  report.Metric("junction_lookup_ns", lookup_row.ns);
+  report.Metric("junction_lookup_allocs",
+                static_cast<double>(lookup_row.allocs));
+  report.Metric("junction_lookup_mismatches",
+                static_cast<double>(lookup_row.mismatches));
+
   // Warm-path allocation count: after warm-up, a workspace-threaded query
   // must not touch the heap (the same invariant tests/workspace_test.cc
   // pins; reported here so the bench artifact records it per commit).
@@ -578,7 +639,8 @@ int KernelReport(const util::FlagParser& flags) {
       "kernels: static %.1f -> %.1f ns (%.2fx) | transient %.1f -> %.1f ns "
       "(%.2fx) | degraded static %.1f -> %.1f ns (%.2fx) | lookup %.1f -> "
       "%.1f ns (%.2fx) | series %.2f -> %.2f ns/step (%.2fx) | drift %g | "
-      "warm allocs %.0f (degraded %.0f)\n",
+      "warm allocs %.0f (degraded %.0f) | junction lookup %.1f ns (allocs "
+      "%.0f, mismatches %.0f)\n",
       static_virtual_ns, static_fused_ns,
       static_virtual_ns / std::max(static_fused_ns, 1e-9),
       transient_virtual_ns, transient_fused_ns,
@@ -589,7 +651,9 @@ int KernelReport(const util::FlagParser& flags) {
       lookup_virtual_ns / std::max(lookup_fused_ns, 1e-9), series_virtual_ns,
       series_batch_ns, series_virtual_ns / std::max(series_batch_ns, 1e-9),
       drift, static_cast<double>(warm_allocs),
-      static_cast<double>(warm_degraded_allocs));
+      static_cast<double>(warm_degraded_allocs), lookup_row.ns,
+      static_cast<double>(lookup_row.allocs),
+      static_cast<double>(lookup_row.mismatches));
 
   if (drift != 0.0) {
     std::fprintf(stderr, "FAIL: fused kernels drifted from the virtual path "

@@ -105,11 +105,7 @@ void AnswerCore::Resolve(const std::vector<graph::NodeId>& junctions,
                          const DegradedOptions& options, QueryWorkspace& ws,
                          ResolvedRegion* out,
                          obs::QueryCostProfile* cost) const {
-  if (bound == BoundMode::kLower) {
-    sampled_->LowerBoundFaces(junctions, ws);
-  } else {
-    sampled_->UpperBoundFaces(junctions, ws);
-  }
+  sampled_->ResolveFaces(junctions, bound, ws);
   out->faces = ws.faces;
   out->missed = ws.faces.empty();
   out->degraded = out->inner_empty = false;

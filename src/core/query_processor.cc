@@ -149,7 +149,7 @@ QueryAnswer UnsampledQueryProcessor::Answer(const RangeQuery& query,
   UnsampledQueries().Increment();
   const graph::PlanarGraph& mobility = network_->mobility();
   QueryWorkspace& ws = workspace != nullptr ? *workspace : LocalWorkspace();
-  ws.EnsureDomains(0, mobility.NumNodes(), network_->sensing().NumNodes());
+  ws.EnsureDomains(0, mobility.NumNodes(), network_->sensing().NumNodes(), 0);
   uint32_t gen = ws.NextGeneration();
   obs::QueryCostProfile& cost = ws.cost;
   cost = obs::QueryCostProfile{};

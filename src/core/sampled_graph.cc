@@ -101,19 +101,37 @@ void SampledGraph::ComputeFaces() {
   face_of_junction_ = std::move(labels.label);
   face_sizes_.assign(labels.count, 0);
   for (uint32_t f : face_of_junction_) ++face_sizes_[f];
-  face_gateways_.assign(labels.count, {});
-  for (graph::NodeId g : network_->gateways()) {
-    face_gateways_[face_of_junction_[g]].push_back(g);
-  }
-  // Per-face incident monitored edges for region-local boundary extraction.
-  face_edges_.assign(labels.count, {});
+
+  // Boundary table, filled in two passes over the same entries: count each
+  // face's row, then place them. Monitored edges go first, ascending, then
+  // the gateways' virtual edges, so every row is ascending by edge id. A
+  // dangling edge (both ends in one face) never bounds a region and gets no
+  // entry.
   const graph::PlanarGraph& mobility = network_->mobility();
-  for (graph::EdgeId e : monitored_edges_) {
-    uint32_t fu = face_of_junction_[mobility.Edge(e).u];
-    uint32_t fv = face_of_junction_[mobility.Edge(e).v];
-    face_edges_[fu].push_back(e);
-    if (fv != fu) face_edges_[fv].push_back(e);
-  }
+  const graph::NodeId ext = network_->sensing().ExtNode();
+  const uint32_t exterior = labels.count;
+  face_row_.assign(labels.count + 1, 0);
+  auto for_each_entry = [&](auto&& emit) {
+    for (graph::EdgeId e : monitored_edges_) {
+      const graph::EdgeRecord& rec = mobility.Edge(e);
+      uint32_t fu = face_of_junction_[rec.u];
+      uint32_t fv = face_of_junction_[rec.v];
+      if (fu == fv) continue;
+      emit(fu, FaceEdge{e, fv, rec.left, rec.right, false});
+      emit(fv, FaceEdge{e, fu, rec.left, rec.right, true});
+    }
+    for (graph::NodeId g : network_->gateways()) {
+      emit(face_of_junction_[g],
+           FaceEdge{network_->VirtualEdgeOf(g), exterior, ext, ext, true});
+    }
+  };
+  for_each_entry([&](uint32_t f, const FaceEdge&) { ++face_row_[f + 1]; });
+  for (uint32_t f = 0; f < labels.count; ++f) face_row_[f + 1] += face_row_[f];
+  face_edges_.resize(face_row_.back());
+  std::vector<uint32_t> cursor(face_row_.begin(), face_row_.end() - 1);
+  for_each_entry([&](uint32_t f, const FaceEdge& entry) {
+    face_edges_[cursor[f]++] = entry;
+  });
 }
 
 void SampledGraph::ComputeStats() {
@@ -161,18 +179,26 @@ void SampledGraph::ComputeStats() {
           : 0;
 }
 
-void SampledGraph::LowerBoundFaces(
-    const std::vector<graph::NodeId>& qr_junctions, QueryWorkspace& ws) const {
-  ws.EnsureDomains(face_sizes_.size(), face_of_junction_.size(),
-                   network_->sensing().NumNodes());
+void SampledGraph::EnsureDomains(QueryWorkspace& ws) const {
+  // One face id past the last: the exterior across every virtual edge.
+  ws.EnsureDomains(face_sizes_.size() + 1, face_of_junction_.size(),
+                   network_->sensing().NumNodes(),
+                   network_->TotalEdgeSpace());
+}
+
+void SampledGraph::ResolveFaces(const std::vector<graph::NodeId>& qr_junctions,
+                                BoundMode bound, QueryWorkspace& ws) const {
+  EnsureDomains(ws);
   uint32_t gen = ws.NextGeneration();
   std::vector<uint32_t>& junction_stamp = ws.junction_stamp();
   std::vector<uint32_t>& face_stamp = ws.face_stamp();
   std::vector<uint32_t>& face_count = ws.face_count();
-  ws.faces.clear();
+  std::vector<uint64_t>& face_bits = ws.face_bits();
   // Count UNIQUE junctions per face: a duplicated junction in the query
   // must not inflate a face's hit count past its size (which would make the
-  // full-coverage equality below silently reject the face).
+  // full-coverage test below silently reject the face).
+  size_t lo_word = face_bits.size();
+  size_t hi_word = 0;
   for (graph::NodeId n : qr_junctions) {
     if (junction_stamp[n] == gen) continue;
     junction_stamp[n] = gen;
@@ -180,104 +206,99 @@ void SampledGraph::LowerBoundFaces(
     if (face_stamp[f] != gen) {
       face_stamp[f] = gen;
       face_count[f] = 0;
-      ws.faces.push_back(f);
+      face_bits[f >> 6] |= uint64_t{1} << (f & 63);
+      lo_word = std::min<size_t>(lo_word, f >> 6);
+      hi_word = std::max<size_t>(hi_word, f >> 6);
     }
     ++face_count[f];
   }
-  // Candidate faces in ascending id order (the allocating overload's output
-  // order); the candidate list is at most |Q_R| long.
-  std::sort(ws.faces.begin(), ws.faces.end());
-  size_t kept = 0;
-  for (uint32_t f : ws.faces) {
-    if (face_count[f] == face_sizes_[f]) ws.faces[kept++] = f;
+  // Touched faces come back ascending from the bitmap, which is left zero.
+  const bool lower = bound == BoundMode::kLower;
+  ws.faces.clear();
+  for (size_t w = lo_word; w <= hi_word && w < face_bits.size(); ++w) {
+    uint64_t bits = face_bits[w];
+    face_bits[w] = 0;
+    while (bits != 0) {
+      uint32_t f = static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
+      bits &= bits - 1;
+      if (!lower || face_count[f] == face_sizes_[f]) ws.faces.push_back(f);
+    }
   }
-  ws.faces.resize(kept);
 }
 
 std::vector<uint32_t> SampledGraph::LowerBoundFaces(
     const std::vector<graph::NodeId>& qr_junctions) const {
   QueryWorkspace& ws = LocalWorkspace();
-  LowerBoundFaces(qr_junctions, ws);
+  ResolveFaces(qr_junctions, BoundMode::kLower, ws);
   return ws.faces;
-}
-
-void SampledGraph::UpperBoundFaces(
-    const std::vector<graph::NodeId>& qr_junctions, QueryWorkspace& ws) const {
-  ws.EnsureDomains(face_sizes_.size(), face_of_junction_.size(),
-                   network_->sensing().NumNodes());
-  uint32_t gen = ws.NextGeneration();
-  std::vector<uint32_t>& face_stamp = ws.face_stamp();
-  ws.faces.clear();
-  for (graph::NodeId n : qr_junctions) {
-    uint32_t f = face_of_junction_[n];
-    if (face_stamp[f] != gen) {
-      face_stamp[f] = gen;
-      ws.faces.push_back(f);
-    }
-  }
-  std::sort(ws.faces.begin(), ws.faces.end());
 }
 
 std::vector<uint32_t> SampledGraph::UpperBoundFaces(
     const std::vector<graph::NodeId>& qr_junctions) const {
   QueryWorkspace& ws = LocalWorkspace();
-  UpperBoundFaces(qr_junctions, ws);
+  ResolveFaces(qr_junctions, BoundMode::kUpper, ws);
   return ws.faces;
 }
 
 void SampledGraph::BoundaryOfFaces(const std::vector<uint32_t>& faces,
                                    QueryWorkspace& ws) const {
-  const graph::PlanarGraph& mobility = network_->mobility();
-  ws.EnsureDomains(face_sizes_.size(), face_of_junction_.size(),
-                   network_->sensing().NumNodes());
+  EnsureDomains(ws);
   uint32_t gen = ws.NextGeneration();
   std::vector<uint32_t>& face_stamp = ws.face_stamp();
   std::vector<uint32_t>& sensor_stamp = ws.sensor_stamp();
+  std::vector<uint64_t>& edge_bits = ws.edge_bits();
+  std::vector<uint64_t>& forward_bits = ws.edge_forward_bits();
   for (uint32_t f : faces) face_stamp[f] = gen;
 
-  ws.boundary_edges.clear();
+  // A boundary edge has exactly one side in the region, so it shows up in
+  // exactly one in-region face's row; interior edges have the region
+  // across and are skipped. The exterior is never stamped, so every
+  // virtual edge of an in-region gateway cell is kept.
+  size_t lo_word = edge_bits.size();
+  size_t hi_word = 0;
   ws.boundary_sensors.clear();
   for (uint32_t f : faces) {
-    // A boundary edge has exactly one side in the region, so it shows up in
-    // exactly one in-region face's incident list; interior edges show up
-    // twice and are rejected both times.
-    for (graph::EdgeId e : face_edges_[f]) {
-      const graph::EdgeRecord& rec = mobility.Edge(e);
-      bool u_in = face_stamp[face_of_junction_[rec.u]] == gen;
-      bool v_in = face_stamp[face_of_junction_[rec.v]] == gen;
-      if (u_in == v_in) continue;
-      ws.boundary_edges.push_back({e, /*inward_is_forward=*/v_in});
+    const FaceEdge* row_end = face_edges_.data() + face_row_[f + 1];
+    for (const FaceEdge* e = face_edges_.data() + face_row_[f]; e != row_end;
+         ++e) {
+      if (face_stamp[e->across] == gen) continue;
+      size_t w = e->edge >> 6;
+      uint64_t bit = uint64_t{1} << (e->edge & 63);
+      edge_bits[w] |= bit;
+      if (e->inward_is_forward) forward_bits[w] |= bit;
+      lo_word = std::min(lo_word, w);
+      hi_word = std::max(hi_word, w);
       // The sensors holding this edge's tracking forms: its dual endpoints,
       // deduplicated by stamp in first-encounter order.
-      if (sensor_stamp[rec.left] != gen) {
-        sensor_stamp[rec.left] = gen;
-        ws.boundary_sensors.push_back(rec.left);
+      if (sensor_stamp[e->left] != gen) {
+        sensor_stamp[e->left] = gen;
+        ws.boundary_sensors.push_back(e->left);
       }
-      if (sensor_stamp[rec.right] != gen) {
-        sensor_stamp[rec.right] = gen;
-        ws.boundary_sensors.push_back(rec.right);
-      }
-    }
-    // ⋆v_ext virtual edges of every gateway cell inside the region.
-    for (graph::NodeId g : face_gateways_[f]) {
-      ws.boundary_edges.push_back(
-          {network_->VirtualEdgeOf(g), /*inward_is_forward=*/true});
-      graph::NodeId ext = network_->sensing().ExtNode();
-      if (sensor_stamp[ext] != gen) {
-        sensor_stamp[ext] = gen;
-        ws.boundary_sensors.push_back(ext);
+      if (sensor_stamp[e->right] != gen) {
+        sensor_stamp[e->right] = gen;
+        ws.boundary_sensors.push_back(e->right);
       }
     }
   }
 
   // Edge-id order == CSR slot order in the frozen store, so the batched
   // boundary kernels walk times_/offsets_ monotonically and their software
-  // prefetches aim at ascending addresses. The flux sum is a total over
-  // integer-valued terms, so reordering cannot change any query result.
-  std::sort(ws.boundary_edges.begin(), ws.boundary_edges.end(),
-            [](const forms::BoundaryEdge& a, const forms::BoundaryEdge& b) {
-              return a.edge < b.edge;
-            });
+  // prefetches aim at ascending addresses. Read back from the bitmaps,
+  // which are left zero.
+  ws.boundary_edges.clear();
+  for (size_t w = lo_word; w <= hi_word && w < edge_bits.size(); ++w) {
+    uint64_t bits = edge_bits[w];
+    uint64_t forward = forward_bits[w];
+    edge_bits[w] = 0;
+    forward_bits[w] = 0;
+    while (bits != 0) {
+      int b = __builtin_ctzll(bits);
+      bits &= bits - 1;
+      ws.boundary_edges.push_back(
+          {static_cast<graph::EdgeId>(w * 64 + b),
+           /*inward_is_forward=*/((forward >> b) & 1) != 0});
+    }
+  }
 }
 
 SampledGraph::RegionBoundary SampledGraph::BoundaryOfFaces(

@@ -13,11 +13,21 @@
 // fill. Every face of G̃ is therefore a union of faces of G (junction
 // cells), and the boundary of any union of G̃ faces consists purely of
 // monitored edges, so queries touch monitored sensors only.
+//
+// Tables. Construction flattens everything a query reads per face into one
+// CSR table (row pointers plus one flat entry array): a face's row lists
+// its incident monitored edges, then the ⋆v_ext virtual edges of its
+// gateway cells, each with the face across the edge, the direction that
+// enters the face and the edge's two dual endpoints. Boundary assembly is
+// then one pass over the rows of the region's faces that reads nothing
+// else of the graph.
 #ifndef INNET_CORE_SAMPLED_GRAPH_H_
 #define INNET_CORE_SAMPLED_GRAPH_H_
 
+#include <cstdint>
 #include <vector>
 
+#include "core/query.h"
 #include "core/query_workspace.h"
 #include "core/sensor_network.h"
 #include "forms/region_count.h"
@@ -74,7 +84,6 @@ class SampledGraph {
   bool IsMonitored(graph::EdgeId e) const {
     return e >= monitored_mask_.size() || monitored_mask_[e];
   }
-  const std::vector<bool>& monitored_mask() const { return monitored_mask_; }
 
   const std::vector<graph::NodeId>& comm_sensors() const {
     return comm_sensors_;
@@ -98,29 +107,35 @@ class SampledGraph {
   std::vector<uint32_t> UpperBoundFaces(
       const std::vector<graph::NodeId>& qr_junctions) const;
 
-  /// Allocation-free variants: the resolved faces land in `ws.faces`
-  /// (ascending face ids, identical to the allocating overloads). Scratch
-  /// marks are generation-stamped, so repeated calls through one workspace
-  /// never touch the heap once its buffers have grown to the graph.
-  void LowerBoundFaces(const std::vector<graph::NodeId>& qr_junctions,
-                       QueryWorkspace& ws) const;
-  void UpperBoundFaces(const std::vector<graph::NodeId>& qr_junctions,
-                       QueryWorkspace& ws) const;
+  /// Allocation-free resolution behind both: the faces of Q_R under
+  /// `bound` land in `ws.faces`, ascending. One stamp pass over the
+  /// distinct junctions serves either bound — a face with any hit is in
+  /// R1, one with FaceSize hits also in R2 — and the touched faces are
+  /// read back in id order from a bitmap, so no comparison sort runs.
+  /// Repeated calls through one workspace never touch the heap once its
+  /// buffers have grown to the graph.
+  void ResolveFaces(const std::vector<graph::NodeId>& qr_junctions,
+                    BoundMode bound, QueryWorkspace& ws) const;
 
   /// Boundary of a union of G̃ faces (core/resolved_region.h). The
-  /// computation is region-local — it touches only the listed faces'
-  /// incident monitored edges, mirroring the in-network dispatch that never
+  /// computation is region-local — it touches only the listed faces' rows
+  /// of the boundary table, mirroring the in-network dispatch that never
   /// leaves the query region's perimeter.
   using RegionBoundary = core::RegionBoundary;
   RegionBoundary BoundaryOfFaces(const std::vector<uint32_t>& faces) const;
 
   /// Allocation-free variant: fills `ws.boundary_edges` and
-  /// `ws.boundary_sensors`. Sensors are deduplicated with stamped marks in
-  /// first-encounter order (no per-query sort); edges come back sorted by
-  /// edge id — CSR slot order in the frozen store, so the batched boundary
-  /// kernels stream it monotonically — and the allocating overload shares
-  /// this implementation, hence the same order. `faces` may alias
-  /// `ws.faces`.
+  /// `ws.boundary_sensors`; the allocating overload shares this
+  /// implementation, hence the same order.
+  ///   - Edges: each boundary edge once, ascending by edge id — CSR slot
+  ///     order in the frozen store, so the batched boundary kernels stream
+  ///     it monotonically. Read back from a bitmap; no comparison sort.
+  ///   - Sensors: distinct, in first-encounter order — `faces` in the
+  ///     given order; per face its boundary edges ascending, the left then
+  ///     the right dual endpoint of each; the ext node with the face's
+  ///     first gateway cell, after its real edges. core::SimulateDispatch
+  ///     depends on this order.
+  /// `faces` may alias `ws.faces`.
   void BoundaryOfFaces(const std::vector<uint32_t>& faces,
                        QueryWorkspace& ws) const;
 
@@ -131,8 +146,24 @@ class SampledGraph {
                std::vector<graph::NodeId> comm_sensors,
                std::vector<bool> monitored_mask);
 
+  // One entry of a face's row in the boundary table: an edge that bounds
+  // the region whenever the face is in it and `across` is not.
+  struct FaceEdge {
+    graph::EdgeId edge;
+    // G̃ face on the other side: NumFaces() — the exterior, never in a
+    // region — for a ⋆v_ext virtual edge.
+    uint32_t across;
+    // The edge's dual endpoints, the sensors holding its tracking forms
+    // (both the ext node for a virtual edge).
+    graph::NodeId left;
+    graph::NodeId right;
+    // Crossing the edge forward (u -> v) enters this face.
+    bool inward_is_forward;
+  };
+
   void ComputeFaces();
   void ComputeStats();
+  void EnsureDomains(QueryWorkspace& ws) const;
 
   const SensorNetwork* network_;
   std::vector<graph::NodeId> comm_sensors_;
@@ -140,11 +171,12 @@ class SampledGraph {
   std::vector<graph::EdgeId> monitored_edges_;
   std::vector<uint32_t> face_of_junction_;
   std::vector<size_t> face_sizes_;
-  // Monitored edges incident to each face (boundary edges appear in the
-  // lists of both adjacent faces; dangling edges once).
-  std::vector<std::vector<graph::EdgeId>> face_edges_;
-  // Gateway junctions per face (for ⋆v_ext virtual boundary edges).
-  std::vector<std::vector<graph::NodeId>> face_gateways_;
+  // Boundary table: face f's row is face_edges_[face_row_[f],
+  // face_row_[f + 1]) — the monitored edges between f and another face,
+  // ascending (each sits in the rows of both its faces), then f's gateway
+  // cells' virtual edges in gateway order.
+  std::vector<uint32_t> face_row_;
+  std::vector<FaceEdge> face_edges_;
   SampledGraphStats stats_;
 };
 

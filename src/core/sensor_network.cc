@@ -5,6 +5,7 @@
 #include "core/query.h"
 #include "forms/region_count.h"
 #include "util/logging.h"
+#include "util/simd.h"
 
 namespace innet::core {
 
@@ -29,16 +30,22 @@ SensorNetwork::SensorNetwork(graph::PlanarGraph mobility)
   // Precompute per-junction sensing-cell bounding boxes (over the incident
   // face centroids; the ext node's far-away position makes border cells
   // effectively unbounded, which is the intended semantics).
-  cell_bounds_.reserve(mobility_.NumNodes());
-  for (graph::NodeId n = 0; n < mobility_.NumNodes(); ++n) {
-    geometry::Rect box(mobility_.Position(n).x, mobility_.Position(n).y,
-                       mobility_.Position(n).x, mobility_.Position(n).y);
-    for (graph::FaceId f : mobility_.FacesAroundNode(n)) {
+  const size_t n = mobility_.NumNodes();
+  cell_min_x_.resize(n);
+  cell_min_y_.resize(n);
+  cell_max_x_.resize(n);
+  cell_max_y_.resize(n);
+  for (graph::NodeId j = 0; j < n; ++j) {
+    geometry::Rect box(mobility_.Position(j).x, mobility_.Position(j).y,
+                       mobility_.Position(j).x, mobility_.Position(j).y);
+    for (graph::FaceId f : mobility_.FacesAroundNode(j)) {
       box.ExpandToInclude(sensing_.Position(f));
     }
-    cell_bounds_.push_back(box);
+    cell_min_x_[j] = box.min_x;
+    cell_min_y_[j] = box.min_y;
+    cell_max_x_[j] = box.max_x;
+    cell_max_y_[j] = box.max_y;
   }
-  cell_index_ = std::make_unique<spatial::RTree>(cell_bounds_);
 }
 
 void SensorNetwork::IngestTrajectories(
@@ -83,26 +90,48 @@ std::vector<forms::BoundaryEdge> SensorNetwork::RegionBoundaryWithVirtual(
   return boundary;
 }
 
+void SensorNetwork::JunctionsInRect(const geometry::Rect& rect,
+                                    std::vector<graph::NodeId>* out) const {
+  const util::simd::BoxColumns cells{cell_min_x_.data(), cell_min_y_.data(),
+                                     cell_max_x_.data(), cell_max_y_.data()};
+  const util::simd::QueryBox query{rect.min_x, rect.min_y, rect.max_x,
+                                   rect.max_y};
+  // The kernel may write a whole chunk of candidates; hits land in a stack
+  // buffer and only they are appended, so `out` grows by the answer alone.
+  constexpr size_t kChunk = 512;
+  graph::NodeId hits[kChunk];
+  const size_t n = cell_min_x_.size();
+  out->clear();
+  for (size_t begin = 0; begin < n; begin += kChunk) {
+    size_t k = util::simd::BoxesInside(cells, begin,
+                                       std::min(n, begin + kChunk), query,
+                                       hits);
+    out->insert(out->end(), hits, hits + k);
+  }
+}
+
 std::vector<graph::NodeId> SensorNetwork::JunctionsInRect(
     const geometry::Rect& rect) const {
-  std::vector<size_t> hits = cell_index_->ContainedIn(rect);
-  std::sort(hits.begin(), hits.end());
-  return std::vector<graph::NodeId>(hits.begin(), hits.end());
+  // Scan into this thread's retained buffer, then copy out once.
+  static thread_local std::vector<graph::NodeId> scratch;
+  JunctionsInRect(rect, &scratch);
+  return std::vector<graph::NodeId>(scratch.begin(), scratch.end());
 }
 
 std::vector<graph::NodeId> SensorNetwork::JunctionsInPolygon(
     const geometry::Polygon& region) const {
   std::vector<graph::NodeId> junctions;
   if (region.size() < 3) return junctions;
-  // Candidates from the R-tree (cells inside the polygon's bbox), then the
+  // Candidates: the cells inside the polygon's bbox, ascending. Then the
   // exact concave-safe containment test.
-  std::vector<size_t> candidates = cell_index_->ContainedIn(region.Bounds());
-  std::sort(candidates.begin(), candidates.end());
-  for (size_t n : candidates) {
-    if (geometry::PolygonContainsRect(region, cell_bounds_[n])) {
-      junctions.push_back(static_cast<graph::NodeId>(n));
-    }
+  JunctionsInRect(region.Bounds(), &junctions);
+  size_t kept = 0;
+  for (graph::NodeId j : junctions) {
+    geometry::Rect cell(cell_min_x_[j], cell_min_y_[j], cell_max_x_[j],
+                        cell_max_y_[j]);
+    if (geometry::PolygonContainsRect(region, cell)) junctions[kept++] = j;
   }
+  junctions.resize(kept);
   return junctions;
 }
 

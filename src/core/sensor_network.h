@@ -14,7 +14,6 @@
 #ifndef INNET_CORE_SENSOR_NETWORK_H_
 #define INNET_CORE_SENSOR_NETWORK_H_
 
-#include <memory>
 #include <vector>
 
 #include "forms/region_count.h"
@@ -24,7 +23,6 @@
 #include "graph/dual_graph.h"
 #include "graph/planar_graph.h"
 #include "mobility/trajectory.h"
-#include "spatial/rtree.h"
 
 namespace innet::core {
 
@@ -100,13 +98,28 @@ class SensorNetwork {
   double DomainArea() const { return domain_bounds_.Area(); }
 
   /// Junctions whose sensing cell (dual face) is fully contained in `rect` —
-  /// the face-union region Q_R of §5.1.5. Cells of junctions bordering the
-  /// outer face are unbounded and never qualify.
+  /// the face-union region Q_R of §5.1.5 — in ascending id order. A cell
+  /// counts by its bounding box, under `rect.Contains(box)`'s exact
+  /// ordered compares: a NaN coordinate matches nothing and an inverted
+  /// rect nothing of positive extent. Cells of junctions bordering the
+  /// outer face reach the ext node's far-away position, so only a rect
+  /// reaching past it holds them. One SIMD scan over every cell box
+  /// (util::simd::BoxesInside); no index, no sort. Scans into a retained
+  /// per-thread buffer, so once that has grown it allocates the returned
+  /// vector and nothing else.
   std::vector<graph::NodeId> JunctionsInRect(const geometry::Rect& rect) const;
+
+  /// Out-parameter variant for serving loops: replaces `*out` with the same
+  /// list, reusing its capacity, so once `*out` has grown to the largest
+  /// answer it makes no allocation.
+  void JunctionsInRect(const geometry::Rect& rect,
+                       std::vector<graph::NodeId>* out) const;
 
   /// Arbitrary-shape query regions (§4.6: "supports the query region of any
   /// arbitrary shape"): junctions whose sensing cell is fully contained in
-  /// the simple polygon `region`.
+  /// the simple polygon `region`, ascending. Candidates are the cells inside
+  /// the polygon's bounding box (the JunctionsInRect scan); each is then
+  /// tested exactly against the polygon.
   std::vector<graph::NodeId> JunctionsInPolygon(
       const geometry::Polygon& region) const;
 
@@ -132,11 +145,13 @@ class SensorNetwork {
   forms::TrackingForm reference_;
   std::vector<mobility::CrossingEvent> events_;
   geometry::Rect domain_bounds_;
-  // Bounding box of each junction's sensing cell (cells touching the ext
-  // node get an unbounded marker via huge extents), R-tree indexed for
-  // region resolution.
-  std::vector<geometry::Rect> cell_bounds_;
-  std::unique_ptr<spatial::RTree> cell_index_;
+  // Bounding box of each junction's sensing cell, as four columns in
+  // junction-id order (util::simd::BoxColumns). Cells touching the ext node
+  // stretch to its far-away position, the intended "unbounded" semantics.
+  std::vector<double> cell_min_x_;
+  std::vector<double> cell_min_y_;
+  std::vector<double> cell_max_x_;
+  std::vector<double> cell_max_y_;
 };
 
 }  // namespace innet::core

@@ -33,7 +33,6 @@
 #include "spatial/grid.h"          // IWYU pragma: export
 #include "spatial/kdtree.h"        // IWYU pragma: export
 #include "spatial/quadtree.h"      // IWYU pragma: export
-#include "spatial/rtree.h"         // IWYU pragma: export
 
 // Graphs.
 #include "graph/connectivity.h"       // IWYU pragma: export

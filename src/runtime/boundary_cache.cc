@@ -8,18 +8,6 @@ namespace innet::runtime {
 
 namespace {
 
-// FNV-1a over the junction words, with the bound mode folded into the
-// offset basis so the same region under lower vs upper bounds never
-// aliases.
-uint64_t Fnv1a(const std::vector<graph::NodeId>& junctions, uint64_t basis) {
-  uint64_t h = basis;
-  for (graph::NodeId n : junctions) {
-    h ^= static_cast<uint64_t>(n);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -33,16 +21,21 @@ RegionSignature SignRegion(const std::vector<graph::NodeId>& junctions,
                            core::BoundMode bound) {
   uint64_t salt = bound == core::BoundMode::kLower ? 0xcbf29ce484222325ULL
                                                    : 0x84222325cbf29ce4ULL;
-  RegionSignature sig;
-  sig.lo = Fnv1a(junctions, salt);
-  // Second, independent stream: splitmix-scrambled words seeded with the
-  // length so permutations and prefixes separate.
-  uint64_t h = SplitMix64(salt ^ junctions.size());
+  // Two independent lanes in one pass, so their multiply chains overlap
+  // instead of running back to back:
+  //   lo: FNV-1a over the junction words, the bound folded into the offset
+  //       basis so a region under lower vs upper bounds never aliases;
+  //   hi: a multiply-xorshift chain seeded with the length, so permutations
+  //       and prefixes separate, finished with SplitMix64.
+  uint64_t lo = salt;
+  uint64_t hi = SplitMix64(salt ^ junctions.size());
   for (graph::NodeId n : junctions) {
-    h = SplitMix64(h ^ (static_cast<uint64_t>(n) + 0x9e3779b97f4a7c15ULL));
+    uint64_t word = static_cast<uint64_t>(n);
+    lo = (lo ^ word) * 0x100000001b3ULL;
+    hi = (hi ^ (word + 0x9e3779b97f4a7c15ULL)) * 0xbf58476d1ce4e5b9ULL;
+    hi ^= hi >> 31;
   }
-  sig.hi = h;
-  return sig;
+  return {lo, SplitMix64(hi)};
 }
 
 BoundaryCache::BoundaryCache(size_t capacity, size_t shards,

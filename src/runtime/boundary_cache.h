@@ -1,15 +1,17 @@
 // Sharded LRU cache of resolved region boundaries.
 //
-// Resolving a query against the sampled graph (LowerBoundFaces /
-// UpperBoundFaces + BoundaryOfFaces) costs O(#faces + |Q_R| + boundary) per
-// query and is identical for every repetition of the same region — the
-// dominant redundant work of dashboard/monitoring traffic where many
-// clients poll overlapping regions. This cache memoizes the resolved
-// region (core::ResolvedRegion: faces, boundary, and — for health-aware
-// engines — the healthy deformations) keyed by (region signature, bound
-// mode) so repeated queries skip resolution entirely and go straight to
-// count evaluation. Entries never outlive a health or store generation:
-// BatchQueryEngine clears the cache on both transitions.
+// Resolving a query against the sampled graph (SampledGraph::ResolveFaces
+// + BoundaryOfFaces) costs O(|Q_R| + the resolved faces' boundary-table
+// rows) per query, plus the copy into an owned entry, and is identical for
+// every repetition of the same region — the dominant redundant work of
+// dashboard/monitoring traffic where many clients poll overlapping regions.
+// This cache memoizes the resolved region (core::ResolvedRegion: faces,
+// boundary, and — for health-aware engines — the healthy deformations)
+// keyed by (region signature, bound mode) so repeated queries skip
+// resolution entirely and go straight to count evaluation; a hit costs one
+// signature pass over the junction list and a shard probe. Entries never
+// outlive a health or store generation: BatchQueryEngine clears the cache
+// on both transitions.
 //
 // Values are shared_ptr<const ...>: a hit hands out a reference to the
 // immutable resolved region, so eviction never invalidates an in-flight
@@ -31,9 +33,9 @@
 namespace innet::runtime {
 
 /// 128-bit signature of a query region under one bound mode. Two
-/// independent 64-bit hashes over the junction sequence make accidental
-/// collisions negligible (~2^-64 per pair) without retaining the junction
-/// vector itself.
+/// independent 64-bit hashes over the junction sequence, computed in one
+/// pass, make accidental collisions negligible (~2^-64 per pair) without
+/// retaining the junction vector itself.
 struct RegionSignature {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -43,9 +45,10 @@ struct RegionSignature {
   }
 };
 
-/// Signature of `junctions` under `bound`. The junction sequence produced
-/// by SensorNetwork::JunctionsInRect is deterministic for a given rect, so
-/// equal rects map to equal signatures.
+/// Signature of `junctions` under `bound`: sensitive to the bound, to
+/// order, and to length (prefixes differ). The junction sequence produced
+/// by SensorNetwork::JunctionsInRect is ascending and deterministic for a
+/// given rect, so equal rects map to equal signatures.
 RegionSignature SignRegion(const std::vector<graph::NodeId>& junctions,
                            core::BoundMode bound);
 

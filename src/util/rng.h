@@ -41,9 +41,17 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Normal deviate.
+  /// Normal deviate. Requires stddev >= 0; stddev 0 returns `mean`.
   double Normal(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    INNET_DCHECK(stddev >= 0.0);
+    if (stddev > 0.0) {
+      return std::normal_distribution<double>(mean, stddev)(engine_);
+    }
+    // std::normal_distribution requires stddev > 0. Draw the standard
+    // deviate anyway, so a zero spread consumes the engine exactly as a
+    // positive one does and the draws after it are unchanged.
+    std::normal_distribution<double>()(engine_);
+    return mean;
   }
 
   /// Exponential deviate with the given rate (events per unit time).

@@ -32,7 +32,72 @@ size_t CountLessEqualScalarImpl(const double* p, size_t n, double t) {
   return count;
 }
 
+// One compare per box side, combined without short-circuit so the loop
+// stays branch-free; `&` of the four ordered compares is Rect::Contains.
+inline bool BoxInside(const BoxColumns& b, size_t i, const QueryBox& q) {
+  return (b.min_x[i] >= q.min_x) & (b.max_x[i] <= q.max_x) &
+         (b.min_y[i] >= q.min_y) & (b.max_y[i] <= q.max_y);
+}
+
+size_t BoxesInsideScalarImpl(const BoxColumns& boxes, size_t begin,
+                             size_t end, const QueryBox& query,
+                             uint32_t* out) {
+  // Every index is written; only hits advance the cursor, so out[k] is
+  // overwritten by the next candidate until one lands.
+  size_t k = 0;
+  for (size_t i = begin; i < end; ++i) {
+    out[k] = static_cast<uint32_t>(i);
+    k += BoxInside(boxes, i, query) ? 1 : 0;
+  }
+  return k;
+}
+
 #if defined(__x86_64__) || defined(__i386__)
+// Lane offsets of the set bits of a 4-bit mask, packed low: the left-pack
+// shuffle BoxesInsideAvx2Impl stores for each group of four boxes.
+alignas(16) constexpr int32_t kLeftPack[16][4] = {
+    {0, 0, 0, 0}, {0, 0, 0, 0}, {1, 0, 0, 0}, {0, 1, 0, 0},
+    {2, 0, 0, 0}, {0, 2, 0, 0}, {1, 2, 0, 0}, {0, 1, 2, 0},
+    {3, 0, 0, 0}, {0, 3, 0, 0}, {1, 3, 0, 0}, {0, 1, 3, 0},
+    {2, 3, 0, 0}, {0, 2, 3, 0}, {1, 2, 3, 0}, {0, 1, 2, 3}};
+
+__attribute__((target("avx2,popcnt"))) size_t BoxesInsideAvx2Impl(
+    const BoxColumns& boxes, size_t begin, size_t end, const QueryBox& query,
+    uint32_t* out) {
+  const __m256d qx0 = _mm256_set1_pd(query.min_x);
+  const __m256d qy0 = _mm256_set1_pd(query.min_y);
+  const __m256d qx1 = _mm256_set1_pd(query.max_x);
+  const __m256d qy1 = _mm256_set1_pd(query.max_y);
+  size_t k = 0;
+  size_t i = begin;
+  // Four boxes per step: four ordered compares, one movemask, then a
+  // left-packed store of all four candidate ids of which the first
+  // popcount(mask) are hits. The store stays inside out[0, end - begin)
+  // because k <= i - begin.
+  for (; i + 4 <= end; i += 4) {
+    __m256d inside = _mm256_and_pd(
+        _mm256_and_pd(
+            _mm256_cmp_pd(_mm256_loadu_pd(boxes.min_x + i), qx0, _CMP_GE_OQ),
+            _mm256_cmp_pd(_mm256_loadu_pd(boxes.max_x + i), qx1,
+                          _CMP_LE_OQ)),
+        _mm256_and_pd(
+            _mm256_cmp_pd(_mm256_loadu_pd(boxes.min_y + i), qy0, _CMP_GE_OQ),
+            _mm256_cmp_pd(_mm256_loadu_pd(boxes.max_y + i), qy1,
+                          _CMP_LE_OQ)));
+    int mask = _mm256_movemask_pd(inside);
+    __m128i ids = _mm_add_epi32(
+        _mm_set1_epi32(static_cast<int32_t>(i)),
+        _mm_load_si128(reinterpret_cast<const __m128i*>(kLeftPack[mask])));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k), ids);
+    k += static_cast<unsigned>(__builtin_popcount(mask));
+  }
+  for (; i < end; ++i) {
+    out[k] = static_cast<uint32_t>(i);
+    k += BoxInside(boxes, i, query) ? 1 : 0;
+  }
+  return k;
+}
+
 __attribute__((target("avx2,popcnt"))) size_t CountLessEqualAvx2Impl(
     const double* p, size_t n, double t) {
   const __m256d vt = _mm256_set1_pd(t);
@@ -71,18 +136,23 @@ size_t CountLessEqualNeonImpl(const double* p, size_t n, double t) {
 }
 #endif
 
-CountLessEqualFn KernelFor(SimdLevel level) {
+struct Kernels {
+  CountLessEqualFn count_less_equal;
+  BoxesInsideFn boxes_inside;
+};
+
+Kernels KernelsFor(SimdLevel level) {
   switch (level) {
 #if defined(__x86_64__) || defined(__i386__)
     case SimdLevel::kAvx2:
-      return &CountLessEqualAvx2Impl;
+      return {&CountLessEqualAvx2Impl, &BoxesInsideAvx2Impl};
 #endif
 #if defined(__aarch64__)
     case SimdLevel::kNeon:
-      return &CountLessEqualNeonImpl;
+      return {&CountLessEqualNeonImpl, &BoxesInsideScalarImpl};
 #endif
     default:
-      return &CountLessEqualScalarImpl;
+      return {&CountLessEqualScalarImpl, &BoxesInsideScalarImpl};
   }
 }
 
@@ -91,8 +161,11 @@ std::atomic<int> g_active_level{-1};
 std::once_flag g_resolve_once;
 
 void Install(SimdLevel level) {
-  detail::g_count_less_equal.store(KernelFor(level),
+  Kernels kernels = KernelsFor(level);
+  detail::g_count_less_equal.store(kernels.count_less_equal,
                                    std::memory_order_relaxed);
+  detail::g_boxes_inside.store(kernels.boxes_inside,
+                               std::memory_order_relaxed);
   g_active_level.store(static_cast<int>(level), std::memory_order_release);
 }
 
@@ -117,14 +190,22 @@ void ResolveActiveLevel() {
 }
 
 size_t CountLessEqualResolve(const double* p, size_t n, double t) {
-  ActiveSimdLevel();  // Installs the real kernel pointer as a side effect.
+  ActiveSimdLevel();  // Installs the real kernel pointers as a side effect.
   return detail::g_count_less_equal.load(std::memory_order_relaxed)(p, n, t);
+}
+
+size_t BoxesInsideResolve(const BoxColumns& boxes, size_t begin, size_t end,
+                          const QueryBox& query, uint32_t* out) {
+  ActiveSimdLevel();
+  return detail::g_boxes_inside.load(std::memory_order_relaxed)(
+      boxes, begin, end, query, out);
 }
 
 }  // namespace
 
 namespace detail {
 std::atomic<CountLessEqualFn> g_count_less_equal{&CountLessEqualResolve};
+std::atomic<BoxesInsideFn> g_boxes_inside{&BoxesInsideResolve};
 }  // namespace detail
 
 const char* SimdLevelName(SimdLevel level) {
@@ -194,7 +275,13 @@ bool SetActiveSimdLevel(SimdLevel level) {
 size_t CountLessEqualAt(SimdLevel level, const double* p, size_t n,
                         double t) {
   INNET_CHECK(SimdLevelSupported(level));
-  return KernelFor(level)(p, n, t);
+  return KernelsFor(level).count_less_equal(p, n, t);
+}
+
+size_t BoxesInsideAt(SimdLevel level, const BoxColumns& boxes, size_t begin,
+                     size_t end, const QueryBox& query, uint32_t* out) {
+  INNET_CHECK(SimdLevelSupported(level));
+  return KernelsFor(level).boxes_inside(boxes, begin, end, query, out);
 }
 
 }  // namespace innet::util::simd

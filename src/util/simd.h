@@ -1,15 +1,21 @@
-// Runtime SIMD dispatch for the frozen-store read path.
+// Runtime SIMD dispatch for the query read path.
 //
-// The frozen CSR kernels (forms/frozen_tracking_form.h) spend their time in
-// one primitive: counting how many timestamps in a short contiguous span are
-// <= a probe time. This header resolves that primitive to the widest vector
-// unit the host actually has — AVX2 on x86-64, NEON on aarch64, a branchless
-// scalar loop everywhere else — picked once at startup via cpuid
-// (`__builtin_cpu_supports`) / `getauxval(AT_HWCAP)` and overridable with
-// the `INNET_SIMD` environment variable (`avx2`, `neon`, `scalar`, or
-// `native` for the detected best). Every path computes the IDENTICAL result:
-// the comparison `p[i] <= t` is exact in every width, so dispatch never
-// changes a count (tests/simd_test.cc pins all levels against each other).
+// Two primitives carry the read path's scans:
+//   - CountLessEqual: how many timestamps in a short contiguous span are
+//     <= a probe time — the frozen CSR kernels
+//     (forms/frozen_tracking_form.h) spend their time here;
+//   - BoxesInside: which boxes of a structure-of-arrays column set lie
+//     inside a query box — the rectangle-to-junction front end
+//     (core::SensorNetwork::JunctionsInRect).
+// This header resolves each to the widest vector unit the host actually
+// has — AVX2 on x86-64, NEON on aarch64 (CountLessEqual only; BoxesInside
+// runs its scalar loop there), a branchless scalar loop everywhere else —
+// picked once at startup via cpuid (`__builtin_cpu_supports`) /
+// `getauxval(AT_HWCAP)` and overridable with the `INNET_SIMD` environment
+// variable (`avx2`, `neon`, `scalar`, or `native` for the detected best).
+// Every path computes the IDENTICAL result: IEEE ordered compares are exact
+// in every width, so dispatch never changes a count or a hit list
+// (tests/simd_test.cc pins all levels against each other).
 //
 // The active level is observable through `ActiveSimdName()` — surfaced as
 // the `simd` label on `innet_build_info` and in `/varz` (docs/
@@ -48,8 +54,8 @@ const char* ActiveSimdName();
 
 /// Forces the dispatched kernels to `level`. Returns false (and changes
 /// nothing) if the hardware cannot run it. Swaps one atomic function
-/// pointer — safe against concurrent readers, but intended for startup and
-/// test scopes, not steady-state toggling.
+/// pointer per primitive — safe against concurrent readers, but intended
+/// for startup and test scopes, not steady-state toggling.
 bool SetActiveSimdLevel(SimdLevel level);
 
 /// RAII dispatch override for tests: forces `level` if supported, restores
@@ -70,10 +76,32 @@ class ScopedSimdLevel {
 
 using CountLessEqualFn = size_t (*)(const double*, size_t, double);
 
+/// Axis-aligned boxes as four parallel columns: box i is
+/// [min_x[i], max_x[i]] x [min_y[i], max_y[i]].
+struct BoxColumns {
+  const double* min_x = nullptr;
+  const double* min_y = nullptr;
+  const double* max_x = nullptr;
+  const double* max_y = nullptr;
+};
+
+/// The closed query box of BoxesInside.
+struct QueryBox {
+  double min_x = 0.0;
+  double min_y = 0.0;
+  double max_x = 0.0;
+  double max_y = 0.0;
+};
+
+using BoxesInsideFn = size_t (*)(const BoxColumns&, size_t, size_t,
+                                 const QueryBox&, uint32_t*);
+
 namespace detail {
-// Starts at a resolver trampoline that installs the active level's kernel
-// on first call; after that it is a direct pointer to the level's entry.
+// Each starts at a resolver trampoline that installs the active level's
+// kernels on first call; after that it is a direct pointer to the level's
+// entry.
 extern std::atomic<CountLessEqualFn> g_count_less_equal;
+extern std::atomic<BoxesInsideFn> g_boxes_inside;
 }  // namespace detail
 
 /// Number of elements of [p, p+n) with value <= t. No ordering assumption;
@@ -87,6 +115,26 @@ inline size_t CountLessEqual(const double* p, size_t n, double t) {
 /// cross-check levels against each other. CHECK-fails if `level` is not
 /// supported on this hardware (guard with SimdLevelSupported).
 size_t CountLessEqualAt(SimdLevel level, const double* p, size_t n, double t);
+
+/// Writes to `out`, in ascending order, every index i in [begin, end) whose
+/// box lies inside `query`:
+///   min_x[i] >= query.min_x && max_x[i] <= query.max_x &&
+///   min_y[i] >= query.min_y && max_y[i] <= query.max_y
+/// — geometry::Rect::Contains, compare for compare. Compares are IEEE
+/// ordered, so a NaN on either side never matches; an inverted query box
+/// (min > max) holds no box of positive extent. Returns the number written.
+/// Branch-free at every level: `out` must have room for `end - begin`
+/// entries, all of which the kernel may overwrite. Exact at every level.
+inline size_t BoxesInside(const BoxColumns& boxes, size_t begin, size_t end,
+                          const QueryBox& query, uint32_t* out) {
+  return detail::g_boxes_inside.load(std::memory_order_relaxed)(
+      boxes, begin, end, query, out);
+}
+
+/// Direct per-level entry of BoxesInside, bypassing dispatch (same contract
+/// as CountLessEqualAt).
+size_t BoxesInsideAt(SimdLevel level, const BoxColumns& boxes, size_t begin,
+                     size_t end, const QueryBox& query, uint32_t* out);
 
 /// Number of leading elements of the SORTED span [p, p+n) with value <= t —
 /// equivalently std::upper_bound(p, p+n, t) - p, but computed with an

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/query_digest.h"
 #include "obs/trace.h"
+#include "perfbench_rects.h"
 #include "runtime/batch_query_engine.h"
 #include "runtime/boundary_cache.h"
 #include "runtime/ingest_pipeline.h"
@@ -438,6 +440,52 @@ TEST(RegionSignatureTest, DistinguishesRegionsAndBounds) {
                SignRegion(prefix, BoundMode::kLower));
   EXPECT_FALSE(SignRegion(a, BoundMode::kLower) ==
                SignRegion(a, BoundMode::kUpper));
+  // Order and length separate too, the empty region included.
+  std::vector<graph::NodeId> permuted = {3, 2, 1};
+  std::vector<graph::NodeId> longer = {1, 2, 3, 0};
+  std::vector<graph::NodeId> empty;
+  std::vector<graph::NodeId> zero = {0};
+  EXPECT_FALSE(SignRegion(a, BoundMode::kLower) ==
+               SignRegion(permuted, BoundMode::kLower));
+  EXPECT_FALSE(SignRegion(a, BoundMode::kUpper) ==
+               SignRegion(longer, BoundMode::kUpper));
+  EXPECT_FALSE(SignRegion(empty, BoundMode::kLower) ==
+               SignRegion(zero, BoundMode::kLower));
+  EXPECT_FALSE(SignRegion(empty, BoundMode::kLower) ==
+               SignRegion(empty, BoundMode::kUpper));
+}
+
+// The cache trusts a signature as the region's identity, so on the regions
+// a dashboard actually polls — perfbench's rectangle pools of seeds 1-5 on
+// its city — no two distinct junction lists may share one, under either
+// bound, in either 64-bit half.
+TEST(RegionSignatureTest, PerfbenchPoolsHaveNoCollisions) {
+  core::FrameworkOptions options;
+  options.road.num_junctions = 2500;
+  options.road.world_size = 30000.0;
+  options.traffic.num_trajectories = 20;
+  options.seed = 42;
+  core::Framework framework(options);
+  const core::SensorNetwork& network = framework.network();
+  std::set<std::vector<graph::NodeId>> regions;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    for (const geometry::Rect& rect :
+         PerfbenchRects(network.DomainBounds(), 2048, seed)) {
+      regions.insert(network.JunctionsInRect(rect));
+    }
+  }
+  ASSERT_GT(regions.size(), 5000u);
+  std::set<uint64_t> lo_seen;
+  std::set<uint64_t> hi_seen;
+  for (const std::vector<graph::NodeId>& junctions : regions) {
+    for (BoundMode bound : {BoundMode::kLower, BoundMode::kUpper}) {
+      RegionSignature sig = SignRegion(junctions, bound);
+      EXPECT_TRUE(lo_seen.insert(sig.lo).second)
+          << "lo collision, " << junctions.size() << " junctions";
+      EXPECT_TRUE(hi_seen.insert(sig.hi).second)
+          << "hi collision, " << junctions.size() << " junctions";
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 
 #include "core/framework.h"
+#include "core/query_workspace.h"
 #include "core/workload.h"
+#include "perfbench_rects.h"
 #include "sampling/samplers.h"
 
 namespace innet::core {
@@ -185,6 +189,188 @@ TEST_F(SampledGraphFixture, MoreSensorsMeansMoreFaces) {
     prev_faces = dep.graph().NumFaces();
   }
 }
+
+// Face resolution and boundary assembly against naive oracles, on the
+// perfbench city's road network under kd-tree and QuadTree deployments at
+// its 25.6% sensor fraction — deployments whose G̃ has large faces.
+class SampledGraphOracleTest : public ::testing::TestWithParam<int> {
+ protected:
+  static void SetUpTestSuite() {
+    FrameworkOptions options;
+    options.road.num_junctions = 2500;
+    options.road.world_size = 30000.0;
+    options.traffic.num_trajectories = 20;
+    options.seed = 42;
+    framework_ = new Framework(options);
+  }
+  static void TearDownTestSuite() {
+    delete framework_;
+    framework_ = nullptr;
+  }
+
+  SampledGraphOracleTest() : network_(framework_->network()) {
+    util::Rng rng(9);
+    size_t m = static_cast<size_t>(0.256 * network_.NumSensors());
+    std::unique_ptr<sampling::SensorSampler> sampler;
+    if (GetParam() == 0) {
+      sampler = std::make_unique<sampling::KdTreeSampler>();
+    } else {
+      sampler = std::make_unique<sampling::QuadTreeSampler>();
+    }
+    deployment_ = std::make_unique<Deployment>(framework_->DeployWithSampler(
+        *sampler, m, DeploymentOptions{}, rng));
+  }
+
+  const SampledGraph& graph() const { return deployment_->graph(); }
+
+  // R1 (kUpper): faces with a junction in Q_R. R2 (kLower): faces all of
+  // whose junctions are in Q_R. Ascending.
+  std::vector<uint32_t> NaiveFaces(const std::vector<graph::NodeId>& junctions,
+                                   BoundMode bound) const {
+    std::vector<bool> in_q(network_.mobility().NumNodes(), false);
+    for (graph::NodeId n : junctions) in_q[n] = true;
+    std::vector<size_t> hits(graph().NumFaces(), 0);
+    for (graph::NodeId n = 0; n < in_q.size(); ++n) {
+      if (in_q[n]) ++hits[graph().FaceOfJunction(n)];
+    }
+    std::vector<uint32_t> faces;
+    for (uint32_t f = 0; f < graph().NumFaces(); ++f) {
+      bool in = bound == BoundMode::kUpper ? hits[f] > 0
+                                           : hits[f] == graph().FaceSize(f);
+      if (in) faces.push_back(f);
+    }
+    return faces;
+  }
+
+  // The boundary of the faces' junction cells, sorted by edge id.
+  std::vector<forms::BoundaryEdge> NaiveEdges(
+      const std::vector<uint32_t>& faces) const {
+    std::set<uint32_t> region(faces.begin(), faces.end());
+    std::vector<bool> mask(network_.mobility().NumNodes(), false);
+    for (graph::NodeId n = 0; n < mask.size(); ++n) {
+      mask[n] = region.count(graph().FaceOfJunction(n)) > 0;
+    }
+    std::vector<forms::BoundaryEdge> edges =
+        network_.RegionBoundaryWithVirtual(mask);
+    std::sort(edges.begin(), edges.end(),
+              [](const forms::BoundaryEdge& a, const forms::BoundaryEdge& b) {
+                return a.edge < b.edge;
+              });
+    return edges;
+  }
+
+  // The documented first-encounter order: faces in the given order; per
+  // face its monitored boundary edges ascending, left then right dual
+  // endpoint; the ext node after the face's real edges if it holds a
+  // gateway cell.
+  std::vector<graph::NodeId> NaiveSensors(
+      const std::vector<uint32_t>& faces) const {
+    const graph::PlanarGraph& mobility = network_.mobility();
+    std::set<uint32_t> region(faces.begin(), faces.end());
+    std::vector<graph::NodeId> order;
+    std::set<graph::NodeId> seen;
+    auto visit = [&](graph::NodeId s) {
+      if (seen.insert(s).second) order.push_back(s);
+    };
+    for (uint32_t f : faces) {
+      for (graph::EdgeId e : graph().monitored_edges()) {
+        const graph::EdgeRecord& rec = mobility.Edge(e);
+        uint32_t fu = graph().FaceOfJunction(rec.u);
+        uint32_t fv = graph().FaceOfJunction(rec.v);
+        if (fu != f && fv != f) continue;
+        if (region.count(fu) == region.count(fv)) continue;
+        visit(rec.left);
+        visit(rec.right);
+      }
+      for (graph::NodeId g : network_.gateways()) {
+        if (graph().FaceOfJunction(g) == f) visit(network_.sensing().ExtNode());
+      }
+    }
+    return order;
+  }
+
+  void ExpectMatchesOracles(const std::vector<graph::NodeId>& junctions,
+                            const char* what) {
+    QueryWorkspace ws;
+    for (BoundMode bound : {BoundMode::kLower, BoundMode::kUpper}) {
+      SCOPED_TRACE(std::string(what) + " / " + BoundModeName(bound));
+      std::vector<uint32_t> faces = NaiveFaces(junctions, bound);
+      graph().ResolveFaces(junctions, bound, ws);
+      ASSERT_EQ(ws.faces, faces);
+      EXPECT_EQ(bound == BoundMode::kLower ? graph().LowerBoundFaces(junctions)
+                                           : graph().UpperBoundFaces(junctions),
+                faces);
+      std::vector<forms::BoundaryEdge> edges = NaiveEdges(faces);
+      graph().BoundaryOfFaces(ws.faces, ws);
+      ASSERT_EQ(ws.boundary_edges.size(), edges.size());
+      for (size_t i = 0; i < edges.size(); ++i) {
+        ASSERT_EQ(ws.boundary_edges[i].edge, edges[i].edge) << i;
+        ASSERT_EQ(ws.boundary_edges[i].inward_is_forward,
+                  edges[i].inward_is_forward)
+            << "edge " << edges[i].edge;
+      }
+      EXPECT_EQ(ws.boundary_sensors, NaiveSensors(faces));
+      // Faces in another order: the same edges, sensors in that order.
+      std::vector<uint32_t> reversed(faces.rbegin(), faces.rend());
+      SampledGraph::RegionBoundary boundary = graph().BoundaryOfFaces(reversed);
+      ASSERT_EQ(boundary.edges.size(), edges.size());
+      for (size_t i = 0; i < edges.size(); ++i) {
+        ASSERT_EQ(boundary.edges[i].edge, edges[i].edge) << i;
+      }
+      EXPECT_EQ(boundary.sensors, NaiveSensors(reversed));
+    }
+  }
+
+  static Framework* framework_;
+  const SensorNetwork& network_;
+  std::unique_ptr<Deployment> deployment_;
+};
+
+Framework* SampledGraphOracleTest::framework_ = nullptr;
+
+TEST_P(SampledGraphOracleTest, DeploymentHasLargeFaces) {
+  size_t largest = 0;
+  for (uint32_t f = 0; f < graph().NumFaces(); ++f) {
+    largest = std::max(largest, graph().FaceSize(f));
+  }
+  EXPECT_GE(largest, 10u);
+}
+
+TEST_P(SampledGraphOracleTest, PerfbenchQueriesMatchOracles) {
+  for (const geometry::Rect& rect :
+       PerfbenchRects(network_.DomainBounds(), 60, 3)) {
+    ExpectMatchesOracles(network_.JunctionsInRect(rect), "perfbench query");
+  }
+}
+
+TEST_P(SampledGraphOracleTest, DegenerateJunctionListsMatchOracles) {
+  ExpectMatchesOracles({}, "empty");
+
+  const geometry::Rect domain = network_.DomainBounds();
+  geometry::Point c = domain.Center();
+  std::vector<graph::NodeId> some = network_.JunctionsInRect(geometry::Rect(
+      c.x - 0.2 * domain.Width(), c.y - 0.2 * domain.Height(),
+      c.x + 0.2 * domain.Width(), c.y + 0.2 * domain.Height()));
+  ASSERT_FALSE(some.empty());
+  // Every junction listed twice, the second copy backwards, one thrice.
+  std::vector<graph::NodeId> duplicated = some;
+  duplicated.insert(duplicated.end(), some.rbegin(), some.rend());
+  duplicated.push_back(some.front());
+  ExpectMatchesOracles(duplicated, "duplicated");
+
+  std::vector<graph::NodeId> every(network_.mobility().NumNodes());
+  for (graph::NodeId n = 0; n < every.size(); ++n) every[n] = n;
+  ExpectMatchesOracles(every, "every junction");
+
+  ExpectMatchesOracles(network_.gateways(), "outer-face cells");
+}
+
+INSTANTIATE_TEST_SUITE_P(Samplers, SampledGraphOracleTest,
+                         ::testing::Values(0, 1),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 0 ? std::string("KdTree")
+                                                  : std::string("QuadTree");
+                         });
 
 }  // namespace
 }  // namespace innet::core

@@ -2,7 +2,8 @@
 // vectorized frozen-store lookups built on it: every dispatch level this
 // hardware supports must agree exactly with a scalar ground truth — and with
 // std::upper_bound — over adversarial spans (duplicate-heavy, bucket-aligned,
-// denormal, ±inf, NaN, empty, single-element).
+// denormal, ±inf, NaN, empty, single-element), and the box scan behind
+// junction lookup with Rect::Contains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 
 #include "forms/frozen_tracking_form.h"
 #include "forms/tracking_form.h"
+#include "geometry/rect.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -107,6 +109,124 @@ TEST(CountLessEqualTest, AllLevelsMatchGroundTruthOnAdversarialSpans) {
               << " variant=" << variant << " t=" << t;
         }
       }
+    }
+  }
+}
+
+// Box columns whose sides sit on, one ulp inside and one ulp outside the
+// query box's sides, plus boxes carrying ±inf and NaN coordinates.
+struct BoxSet {
+  std::vector<double> min_x, min_y, max_x, max_y;
+
+  void Add(const geometry::Rect& box) {
+    min_x.push_back(box.min_x);
+    min_y.push_back(box.min_y);
+    max_x.push_back(box.max_x);
+    max_y.push_back(box.max_y);
+  }
+  BoxColumns Columns() const {
+    return {min_x.data(), min_y.data(), max_x.data(), max_y.data()};
+  }
+  geometry::Rect Box(size_t i) const {
+    return geometry::Rect(min_x[i], min_y[i], max_x[i], max_y[i]);
+  }
+};
+
+BoxSet AdversarialBoxes(size_t n, util::Rng& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Coordinates drawn from the query sides of BoxesInsideTest and their
+  // ulp neighbours, so ties and near-ties are common.
+  const double edges[] = {0.0, 10.0, 20.0, 30.0};
+  auto coordinate = [&]() {
+    double x = edges[rng.UniformIndex(4)];
+    switch (rng.UniformIndex(6)) {
+      case 0: return std::nextafter(x, -inf);
+      case 1: return std::nextafter(x, inf);
+      case 2: return rng.Uniform(-5.0, 35.0);
+      default: return x;
+    }
+  };
+  BoxSet boxes;
+  for (size_t i = 0; i < n; ++i) {
+    double x0 = coordinate();
+    double y0 = coordinate();
+    geometry::Rect box(x0, y0, std::max(x0, coordinate()),
+                       std::max(y0, coordinate()));
+    switch (rng.UniformIndex(10)) {
+      case 0: box.min_x = -inf; break;
+      case 1: box.max_y = inf; break;
+      case 2: box.max_x = nan; break;
+      case 3: box.min_y = nan; break;
+      default: break;
+    }
+    boxes.Add(box);
+  }
+  return boxes;
+}
+
+// Every supported level writes exactly the ascending indices whose box
+// Rect::Contains, for every span [begin, end) across the 4-wide and scalar
+// tail boundaries, against query boxes that are ordinary, degenerate,
+// inverted, infinite or NaN.
+TEST(BoxesInsideTest, AllLevelsMatchRectContains) {
+  util::Rng rng(53);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  BoxSet boxes = AdversarialBoxes(48, rng);
+  const BoxColumns columns = boxes.Columns();
+  const std::vector<geometry::Rect> queries = {
+      {10, 10, 20, 20},  {0, 0, 30, 30},     {10, 10, 10, 10},
+      {10, 0, 10, 30},   {20, 20, 10, 10},   {-inf, -inf, inf, inf},
+      {-inf, 0, 30, inf}, {nan, 0, 30, 30},  {0, 0, 30, nan},
+      {nan, nan, nan, nan}};
+  std::vector<uint32_t> out(boxes.min_x.size());
+  for (const geometry::Rect& q : queries) {
+    const QueryBox query{q.min_x, q.min_y, q.max_x, q.max_y};
+    for (size_t begin : {size_t{0}, size_t{1}, size_t{3}, size_t{5}}) {
+      for (size_t end = begin; end <= boxes.min_x.size(); ++end) {
+        std::vector<uint32_t> want;
+        for (size_t i = begin; i < end; ++i) {
+          if (q.Contains(boxes.Box(i))) want.push_back(static_cast<uint32_t>(i));
+        }
+        for (SimdLevel level : SupportedLevels()) {
+          size_t k = BoxesInsideAt(level, columns, begin, end, query,
+                                   out.data());
+          EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + k), want)
+              << "level=" << SimdLevelName(level) << " begin=" << begin
+              << " end=" << end << " query=(" << q.min_x << "," << q.min_y
+              << "," << q.max_x << "," << q.max_y << ")";
+        }
+      }
+    }
+  }
+}
+
+// Random cross-level fuzz: every supported level agrees with scalar, and
+// the dispatched entry with the forced level's.
+TEST(BoxesInsideTest, CrossLevelFuzzAgreesWithScalar) {
+  util::Rng rng(59);
+  BoxSet boxes = AdversarialBoxes(301, rng);
+  const BoxColumns columns = boxes.Columns();
+  const size_t n = boxes.min_x.size();
+  std::vector<uint32_t> want(n);
+  std::vector<uint32_t> got(n);
+  for (int trial = 0; trial < 2000; ++trial) {
+    double x0 = rng.Uniform(-5.0, 35.0);
+    double y0 = rng.Uniform(-5.0, 35.0);
+    const QueryBox query{x0, y0, x0 + rng.Uniform(-2.0, 30.0),
+                         y0 + rng.Uniform(-2.0, 30.0)};
+    size_t begin = rng.UniformIndex(n);
+    size_t end = begin + rng.UniformIndex(n - begin + 1);
+    size_t want_count = BoxesInsideAt(SimdLevel::kScalar, columns, begin, end,
+                                      query, want.data());
+    for (SimdLevel level : SupportedLevels()) {
+      ScopedSimdLevel scoped(level);
+      ASSERT_TRUE(scoped.ok());
+      size_t k = BoxesInside(columns, begin, end, query, got.data());
+      ASSERT_EQ(k, want_count) << "level=" << SimdLevelName(level);
+      ASSERT_TRUE(std::equal(want.begin(), want.begin() + k, got.begin()))
+          << "level=" << SimdLevelName(level) << " trial=" << trial;
     }
   }
 }

@@ -6,7 +6,6 @@
 #include "spatial/grid.h"
 #include "spatial/kdtree.h"
 #include "spatial/quadtree.h"
-#include "spatial/rtree.h"
 #include "util/rng.h"
 
 namespace innet::spatial {
@@ -172,79 +171,6 @@ TEST(QuadTreeTest, HandlesDuplicatePoints) {
   points.emplace_back(2, 2);
   QuadTree tree(points, 4, /*max_depth=*/16);
   EXPECT_EQ(tree.RangeQuery(Rect(0, 0, 1.5, 1.5)).size(), 50u);
-}
-
-std::vector<geometry::Rect> RandomBoxes(size_t n, uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<geometry::Rect> boxes;
-  boxes.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    double x = rng.Uniform(0, 100);
-    double y = rng.Uniform(0, 100);
-    boxes.emplace_back(x, y, x + rng.Uniform(0.1, 8.0),
-                       y + rng.Uniform(0.1, 8.0));
-  }
-  return boxes;
-}
-
-class RTreeProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(RTreeProperty, MatchesBruteForce) {
-  std::vector<geometry::Rect> boxes = RandomBoxes(500, GetParam());
-  RTree tree(boxes, 8);
-  util::Rng rng(GetParam() + 4000);
-  for (int trial = 0; trial < 40; ++trial) {
-    Point a(rng.Uniform(-10, 110), rng.Uniform(-10, 110));
-    Point b(rng.Uniform(-10, 110), rng.Uniform(-10, 110));
-    Rect range = Rect::FromCorners(a, b);
-
-    std::vector<size_t> inter = tree.Intersecting(range);
-    std::vector<size_t> contained = tree.ContainedIn(range);
-    std::sort(inter.begin(), inter.end());
-    std::sort(contained.begin(), contained.end());
-
-    std::vector<size_t> want_inter;
-    std::vector<size_t> want_contained;
-    for (size_t i = 0; i < boxes.size(); ++i) {
-      if (range.Intersects(boxes[i])) want_inter.push_back(i);
-      if (range.Contains(boxes[i])) want_contained.push_back(i);
-    }
-    EXPECT_EQ(inter, want_inter);
-    EXPECT_EQ(contained, want_contained);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RTreeProperty, ::testing::Values(1, 2, 3));
-
-TEST(RTreeTest, EmptyAndSingle) {
-  RTree empty{{}};
-  EXPECT_EQ(empty.size(), 0u);
-  EXPECT_EQ(empty.Height(), 0u);
-  EXPECT_TRUE(empty.Intersecting(Rect(0, 0, 1, 1)).empty());
-
-  RTree single({Rect(1, 1, 2, 2)});
-  EXPECT_EQ(single.Height(), 1u);
-  EXPECT_EQ(single.Intersecting(Rect(0, 0, 3, 3)).size(), 1u);
-  EXPECT_EQ(single.ContainedIn(Rect(1.5, 0, 3, 3)).size(), 0u);
-}
-
-TEST(RTreeTest, HeightLogarithmic) {
-  std::vector<geometry::Rect> boxes = RandomBoxes(4000, 9);
-  RTree tree(boxes, 16);
-  // 4000 boxes at fanout 16: 250 leaves -> 16 -> 1: height 3.
-  EXPECT_LE(tree.Height(), 4u);
-  EXPECT_GE(tree.Height(), 3u);
-}
-
-TEST(RTreeTest, ContainedSubsetOfIntersecting) {
-  std::vector<geometry::Rect> boxes = RandomBoxes(300, 10);
-  RTree tree(boxes);
-  Rect range(20, 20, 70, 70);
-  std::vector<size_t> inter = tree.Intersecting(range);
-  std::vector<size_t> contained = tree.ContainedIn(range);
-  std::set<size_t> inter_set(inter.begin(), inter.end());
-  for (size_t idx : contained) EXPECT_EQ(inter_set.count(idx), 1u);
-  EXPECT_LT(contained.size(), inter.size());
 }
 
 TEST(GridTest, CellAssignment) {

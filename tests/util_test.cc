@@ -87,6 +87,24 @@ TEST(RngTest, UniformInRange) {
   }
 }
 
+// A positive spread draws exactly what std::normal_distribution draws; a
+// zero spread returns the mean without tripping its stddev > 0
+// precondition and leaves the rest of the stream where a positive spread
+// would.
+TEST(RngTest, NormalZeroSpreadKeepsTheStream) {
+  Rng a(7);
+  Rng b(7);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(a.Normal(2.0, 3.0),
+              std::normal_distribution<double>(2.0, 3.0)(b.engine()));
+  }
+  Rng zero(11);
+  Rng unit(11);
+  EXPECT_EQ(zero.Normal(5.0, 0.0), 5.0);
+  unit.Normal(5.0, 1.0);
+  EXPECT_EQ(zero.Uniform(), unit.Uniform());
+}
+
 TEST(RngTest, SampleWithoutReplacementDistinct) {
   Rng rng(9);
   std::vector<size_t> sample = rng.SampleWithoutReplacement(100, 40);

@@ -55,11 +55,11 @@ TEST_F(WorkspaceFixture, WorkspaceVariantsMatchAllocatingOverloads) {
   QueryWorkspace ws;  // Fresh, private workspace (not the thread-local one).
   for (const RangeQuery& q : queries_) {
     std::vector<uint32_t> lower = g.LowerBoundFaces(q.junctions);
-    g.LowerBoundFaces(q.junctions, ws);
+    g.ResolveFaces(q.junctions, BoundMode::kLower, ws);
     EXPECT_EQ(ws.faces, lower);
 
     std::vector<uint32_t> upper = g.UpperBoundFaces(q.junctions);
-    g.UpperBoundFaces(q.junctions, ws);
+    g.ResolveFaces(q.junctions, BoundMode::kUpper, ws);
     EXPECT_EQ(ws.faces, upper);
 
     if (upper.empty()) continue;
