@@ -35,7 +35,8 @@ REQUIRED = {
             "monitored_events", "ingest_wall_seconds",
             "ingest_events_per_sec", "epochs_published",
             "refreeze_mean_micros", "refreeze_p50_micros",
-            "refreeze_p95_micros", "refreeze_drift", "store_generation",
+            "refreeze_p95_micros", "refreeze_growth_x", "refreeze_drift",
+            "store_generation",
             "warm_queries", "warm_query_allocs", "swaps_during_warm_reads",
             "ingest_events_per_sec_durable", "durability_overhead_fraction",
             "wal_fsync_p95_micros", "wal_bytes_total",

@@ -1,8 +1,8 @@
 // Live-ingestion benchmark: sustained events/sec through the reorder-buffer
-// → IngestPipeline → incremental re-freeze path, plus the two invariants CI
-// gates on (docs/PERFORMANCE.md §"Live ingestion"):
+// → IngestPipeline → sealed-run publish path, plus the invariants CI gates
+// on (docs/PERFORMANCE.md §"Live ingestion"):
 //
-//   refreeze_drift == 0      incremental re-freeze is bit-identical to a
+//   refreeze_drift == 0      the published runs count bit-identically to a
 //                            from-scratch Freeze() of the same stream
 //   warm_query_allocs == 0   a warm handle-mode reader performs zero heap
 //                            allocations while the freezer publishes
@@ -15,6 +15,12 @@
 // every epoch close (docs/PERFORMANCE.md §"Durability"), reporting
 // ingest_events_per_sec_durable, durability_overhead_fraction,
 // wal_fsync_p95_micros, wal_bytes_total, and recovery_replay_events.
+//
+// The history phase replays the stream for kLaps time-shifted laps without
+// a WAL and reports refreeze_growth_x: the mean publish time over the last
+// lap's epochs divided by the mean over the first lap's. A publish that
+// costs O(epoch) keeps it near 1; one that copies the store grows with
+// the history.
 //
 // Flags:
 //   --tiny             small world (~120 junctions) for CI smoke runs
@@ -75,10 +81,14 @@ std::vector<CrossingEvent> MonitoredStream(const core::SensorNetwork& network,
   return events;
 }
 
+// Laps of the history phase.
+constexpr size_t kLaps = 10;
+
 // Exhaustive store comparison: per-slot counts plus the prefix count at
 // every stored timestamp and a nudge on each side. Returns the number of
 // mismatching probes (the bench's refreeze_drift — must be zero).
-uint64_t CountDrift(const forms::FrozenTrackingForm& incremental,
+template <typename Store>  // FrozenRuns or FrozenTrackingForm.
+uint64_t CountDrift(const Store& incremental,
                     const forms::TrackingForm& reference) {
   uint64_t drift = 0;
   if (incremental.TotalEvents() != reference.TotalEvents()) ++drift;
@@ -141,9 +151,10 @@ int Main(const util::FlagParser& flags) {
 
   // --- Phase 1: sustained ingest throughput. Replay the monitored stream
   // through the live front door (EventReorderBuffer sink → Push), epochs
-  // auto-closing every ~1/32 of the stream so incremental re-freezes run
-  // CONCURRENTLY with ingestion; the clock stops only after the final
-  // drain, so the figure includes every rebuild. ---
+  // auto-closing every ~1/32 of the stream so each epoch's sealed-run
+  // publish (and the background merges) run CONCURRENTLY with ingestion;
+  // the clock stops only after the final drain, so the figure includes
+  // every publish. ---
   runtime::IngestPipelineOptions pipeline_options;
   pipeline_options.registry = &registry;
   pipeline_options.epoch_event_target = stream.size() / 32 + 1;
@@ -185,6 +196,37 @@ int Main(const util::FlagParser& flags) {
   report.Metric("refreeze_mean_micros", refreeze_mean);
   report.Metric("refreeze_p50_micros", refreeze.Percentile(0.5));
   report.Metric("refreeze_p95_micros", refreeze.Percentile(0.95));
+
+  // --- Phase 1a: history growth. Replay the stream for kLaps laps, each
+  // shifted one horizon later so every slot stays ascending, and compare
+  // the mean publish time of the last lap's epochs with the first lap's:
+  // the store grows tenfold while each epoch stays the same size. ---
+  std::vector<double> lap_mean_micros;
+  {
+    runtime::IngestPipeline laps(num_edges, pipeline_options);
+    double lap_shift = stream.back().time + 1.0;
+    for (size_t lap = 0; lap < kLaps; ++lap) {
+      uint64_t count_before = refreeze.Count();
+      double sum_before = refreeze.Sum();
+      for (CrossingEvent e : stream) {
+        e.time += static_cast<double>(lap) * lap_shift;
+        laps.Push(e);
+      }
+      laps.CloseEpochAndWait();
+      lap_mean_micros.push_back(
+          (refreeze.Sum() - sum_before) /
+          static_cast<double>(std::max<uint64_t>(
+              1, refreeze.Count() - count_before)));
+    }
+  }
+  double growth = lap_mean_micros.back() / lap_mean_micros.front();
+  std::printf(
+      "history: %zu laps, mean publish %.1fus in lap 1 -> %.1fus in lap %zu "
+      "(growth %.2fx)\n",
+      kLaps, lap_mean_micros.front(), lap_mean_micros.back(), kLaps, growth);
+  report.Metric("refreeze_lap1_mean_micros", lap_mean_micros.front());
+  report.Metric("refreeze_last_lap_mean_micros", lap_mean_micros.back());
+  report.Metric("refreeze_growth_x", growth);
 
   // --- Phase 1b: durable ingest. The same front door with a WAL
   // group-commit on every epoch close and a snapshot every 2 commits. Each
@@ -236,9 +278,9 @@ int Main(const util::FlagParser& flags) {
   report.Metric("wal_fsync_p95_micros", fsync_micros.Percentile(0.95));
   report.Metric("wal_bytes_total", static_cast<double>(wal_bytes));
 
-  // --- Phase 2: identity. The last rep's published store must be
-  // bit-identical to a from-scratch Freeze() of the admitted stream, and a
-  // handle-mode processor must answer exactly like the scratch one. ---
+  // --- Phase 2: identity. The last rep's published runs must count
+  // bit-identically to a from-scratch Freeze() of the admitted stream, and
+  // a handle-mode processor must answer exactly like the scratch one. ---
   forms::TrackingForm scratch_tracking(num_edges);
   for (const CrossingEvent& e : stream) {
     scratch_tracking.RecordTraversal(e.edge, e.forward, e.time);
@@ -358,7 +400,7 @@ int Main(const util::FlagParser& flags) {
   }
   if (drift != 0) {
     std::fprintf(stderr,
-                 "FAIL: incremental re-freeze drifted from the scratch "
+                 "FAIL: the published runs drifted from the scratch "
                  "freeze on %llu probes\n",
                  static_cast<unsigned long long>(drift));
     return 1;

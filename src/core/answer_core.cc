@@ -73,17 +73,46 @@ bool StoreView::Follow() {
 
 void StoreView::Latch(const forms::EdgeCountStore* store) {
   store_ = store;
-  frozen_ = dynamic_cast<const forms::FrozenTrackingForm*>(store);
+  fused_ = false;
+  runs_ = nullptr;
+  single_ = nullptr;
+  num_runs_ = 0;
+  if (const auto* runs = dynamic_cast<const forms::FrozenRuns*>(store)) {
+    fused_ = true;
+    runs_ = runs->RunPointers();
+    num_runs_ = runs->num_runs();
+  } else if (const auto* frozen =
+                 dynamic_cast<const forms::FrozenTrackingForm*>(store)) {
+    fused_ = true;
+    single_ = frozen;
+    num_runs_ = 1;
+  }
   kind_ = std::strcmp(store->Provenance().kind, "exact") == 0 ? 0 : 1;
+}
+
+void StoreView::StaticSeries(const std::vector<forms::BoundaryEdge>& edges,
+                             const double* times, size_t count,
+                             double* out) const {
+  if (count == 0) return;
+  if (!fused_) {
+    for (size_t i = 0; i < count; ++i) out[i] = StaticCount(edges, times[i]);
+    return;
+  }
+  for (size_t i = 0; i < count; ++i) out[i] = 0.0;
+  for (const forms::FrozenTrackingForm* run : Runs()) {
+    if (times[count - 1] < run->FirstTime()) continue;
+    forms::AddStaticCountBatch(*run, edges, times, count, out);
+  }
 }
 
 uint64_t StoreView::StoredTimestamps(
     const std::vector<forms::BoundaryEdge>& edges) const {
-  if (frozen_ == nullptr) return 0;
   uint64_t timestamps = 0;
-  for (const forms::BoundaryEdge& e : edges) {
-    timestamps += frozen_->EventCount(e.edge, true) +
-                  frozen_->EventCount(e.edge, false);
+  for (const forms::FrozenTrackingForm* run : Runs()) {
+    for (const forms::BoundaryEdge& e : edges) {
+      timestamps += run->EventCount(e.edge, true) +
+                    run->EventCount(e.edge, false);
+    }
   }
   return timestamps;
 }
@@ -217,7 +246,7 @@ QueryAnswer AnswerCore::Answer(const ResolvedRegion& region,
     Account(region, query, kind, bound, cost);
     cost->health_aware = options != nullptr;
     // Two directed slots per boundary edge and instant.
-    if (view_.frozen() != nullptr) cost->bucket_probes = 2 * edge_instants;
+    if (view_.fused()) cost->bucket_probes = 2 * edge_instants;
   }
   return answer;
 }

@@ -9,6 +9,7 @@
 #define INNET_CORE_ANSWER_CORE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/health.h"
@@ -17,6 +18,7 @@
 #include "core/resolved_region.h"
 #include "core/sampled_graph.h"
 #include "forms/edge_count_store.h"
+#include "forms/frozen_runs.h"
 #include "forms/frozen_tracking_form.h"
 #include "forms/store_handle.h"
 #include "obs/explain.h"
@@ -25,10 +27,14 @@
 namespace innet::core {
 
 /// The store a core integrates, chosen once per construction or generation
-/// swap: a forms::FrozenTrackingForm runs the fused kernels, any other store
-/// the virtual per-edge kernels term for term (learned stores return
-/// fractional counts whose sums must not be regrouped). On exact stores
-/// both give bit-identical answers.
+/// swap, and the one place that knows about runs: a
+/// forms::FrozenTrackingForm is a one-run view and a forms::FrozenRuns (a
+/// live-ingest generation) a view of its runs, and every kernel sums the
+/// fused frozen-store kernel over the runs, skipping a run whose first
+/// timestamp lies after the probed instant. Any other store runs the
+/// virtual per-edge kernels term for term (learned stores return
+/// fractional counts whose sums must not be regrouped). Counts on exact
+/// stores are integers, so all of them give bit-identical answers.
 class StoreView {
  public:
   explicit StoreView(const forms::EdgeCountStore& store) { Latch(&store); }
@@ -42,7 +48,8 @@ class StoreView {
   bool Follow();
 
   const forms::EdgeCountStore& store() const { return *store_; }
-  const forms::FrozenTrackingForm* frozen() const { return frozen_; }
+  /// True when the kernels are the fused frozen-store ones.
+  bool fused() const { return fused_; }
   /// Cost-profile store family: 0 exact, 1 modeled.
   uint8_t kind() const { return kind_; }
   /// Pinned store generation (0 outside handle mode).
@@ -50,36 +57,67 @@ class StoreView {
 
   double StaticCount(const std::vector<forms::BoundaryEdge>& edges,
                      double t) const {
-    return frozen_ != nullptr ? forms::EvaluateStaticCount(*frozen_, edges, t)
-                              : forms::EvaluateStaticCount(*store_, edges, t);
+    if (!fused_) return forms::EvaluateStaticCount(*store_, edges, t);
+    return SumRuns(t, t, [&](const forms::FrozenTrackingForm& run) {
+      return forms::EvaluateStaticCount(run, edges, t);
+    });
   }
   double TransientCount(const std::vector<forms::BoundaryEdge>& edges,
                         double t0, double t1) const {
-    return frozen_ != nullptr
-               ? forms::EvaluateTransientCount(*frozen_, edges, t0, t1)
-               : forms::EvaluateTransientCount(*store_, edges, t0, t1);
+    if (!fused_) return forms::EvaluateTransientCount(*store_, edges, t0, t1);
+    return SumRuns(t0, t1, [&](const forms::FrozenTrackingForm& run) {
+      return forms::EvaluateTransientCount(run, edges, t0, t1);
+    });
   }
   double ActivityUpTo(const std::vector<forms::BoundaryEdge>& edges,
                       double t) const {
-    return frozen_ != nullptr
-               ? forms::EvaluateBoundaryActivity(*frozen_, edges, t)
-               : forms::EvaluateBoundaryActivity(*store_, edges, t);
+    if (!fused_) return forms::EvaluateBoundaryActivity(*store_, edges, t);
+    return SumRuns(t, t, [&](const forms::FrozenTrackingForm& run) {
+      return forms::EvaluateBoundaryActivity(run, edges, t);
+    });
   }
   double ActivityInRange(const std::vector<forms::BoundaryEdge>& edges,
                          double t0, double t1) const {
-    return frozen_ != nullptr
-               ? forms::EvaluateBoundaryActivity(*frozen_, edges, t0, t1)
-               : forms::EvaluateBoundaryActivity(*store_, edges, t0, t1);
+    if (!fused_) {
+      return forms::EvaluateBoundaryActivity(*store_, edges, t0, t1);
+    }
+    return SumRuns(t0, t1, [&](const forms::FrozenTrackingForm& run) {
+      return forms::EvaluateBoundaryActivity(run, edges, t0, t1);
+    });
   }
+  /// Static counts at `count` ASCENDING instants into out[0..count): one
+  /// merge pass per boundary slot and run on fused stores.
+  void StaticSeries(const std::vector<forms::BoundaryEdge>& edges,
+                    const double* times, size_t count, double* out) const;
   /// Stored CSR timestamps under `edges`, both directions (0 if virtual).
   uint64_t StoredTimestamps(
       const std::vector<forms::BoundaryEdge>& edges) const;
 
  private:
   void Latch(const forms::EdgeCountStore* store);
+  /// Sums kernel(run) over the runs, skipping a run whose first timestamp
+  /// lies after both t0 and t1: every count it holds there is 0.
+  template <typename Kernel>
+  double SumRuns(double t0, double t1, Kernel kernel) const {
+    double total = 0.0;
+    for (const forms::FrozenTrackingForm* run : Runs()) {
+      if (t0 < run->FirstTime() && t1 < run->FirstTime()) continue;
+      total += kernel(*run);
+    }
+    return total;
+  }
+  std::span<const forms::FrozenTrackingForm* const> Runs() const {
+    return {runs_ != nullptr ? runs_ : &single_, num_runs_};
+  }
 
   const forms::EdgeCountStore* store_ = nullptr;
-  const forms::FrozenTrackingForm* frozen_ = nullptr;
+  bool fused_ = false;
+  // The runs: a FrozenRuns' pointer array, or single_ for a plain frozen
+  // store. runs_ never points at single_, which would dangle once the
+  // view is copied or moved.
+  const forms::FrozenTrackingForm* const* runs_ = nullptr;
+  const forms::FrozenTrackingForm* single_ = nullptr;
+  size_t num_runs_ = 0;
   uint8_t kind_ = 0;
   const forms::FrozenStoreHandle* handle_ = nullptr;
   forms::FrozenStoreHandle::Snapshot snapshot_;

@@ -122,19 +122,10 @@ std::vector<double> SampledQueryProcessor::AnswerSeries(
   }
 
   const std::vector<forms::BoundaryEdge>& edges = region.boundary.edges;
-  const forms::FrozenTrackingForm* frozen = core_.view().frozen();
   std::vector<double> series(steps, 0.0);
-  if (frozen != nullptr) {
-    // One merge pass per boundary edge over the whole instant batch; it
-    // probes each boundary slot once per instant.
-    forms::EvaluateStaticCountBatch(*frozen, edges, ws.series.data(), steps,
-                                    series.data());
-    cost.bucket_probes = edges.size() * 2 * steps;
-  } else {
-    for (size_t i = 0; i < steps; ++i) {
-      series[i] = core_.view().StaticCount(edges, ws.series[i]);
-    }
-  }
+  core_.view().StaticSeries(edges, ws.series.data(), steps, series.data());
+  // Fused stores probe each boundary slot once per instant.
+  if (core_.view().fused()) cost.bucket_probes = edges.size() * 2 * steps;
   cost.total_nanos = timer.ElapsedNanos();
   cost.integrate_nanos = cost.total_nanos - cost.resolve_nanos;
   return series;

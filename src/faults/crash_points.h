@@ -30,8 +30,9 @@ namespace innet::faults {
 /// write path reaches them. Kept in one table so seed-matrix tests and
 /// ArmFromSeed enumerate exactly the points that exist.
 ///
-///   wal:mid-segment       after appending one framed record, before the
-///                         epoch commit record (torn segment tail)
+///   wal:mid-segment       after appending one batch of framed records,
+///                         before the epoch commit record (torn segment
+///                         tail)
 ///   wal:pre-fsync         commit record written and flushed, fsync not yet
 ///                         issued (commit may or may not survive)
 ///   snapshot:post-header  snapshot header written, CSR arrays not yet

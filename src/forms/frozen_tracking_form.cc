@@ -26,6 +26,7 @@ FrozenTrackingForm::FrozenTrackingForm(const TrackingForm& source) {
   offsets_[num_slots] = times_.size();
 
   for (size_t slot = 0; slot < num_slots; ++slot) IndexSlot(slot);
+  SetFirstTime();
 }
 
 FrozenTrackingForm::FrozenTrackingForm(std::vector<double> times,
@@ -43,63 +44,45 @@ FrozenTrackingForm::FrozenTrackingForm(std::vector<double> times,
   hot_index_.assign(num_slots, {});
   first_bucket_.assign(num_slots, 0);
   for (size_t slot = 0; slot < num_slots; ++slot) IndexSlot(slot);
+  SetFirstTime();
 }
 
-FrozenTrackingForm::FrozenTrackingForm(const FrozenTrackingForm& previous,
-                                       const EpochDelta& delta) {
-  size_t num_slots = previous.offsets_.size() - 1;
-  INNET_CHECK(delta.NumSlots() == num_slots);
+FrozenTrackingForm::FrozenTrackingForm(const FrozenTrackingForm& older,
+                                       const FrozenTrackingForm& newer) {
+  size_t num_slots = older.offsets_.size() - 1;
+  INNET_CHECK(newer.offsets_.size() - 1 == num_slots);
   offsets_.assign(num_slots + 1, 0);
-  times_.reserve(previous.times_.size() + delta.times.size());
+  times_.reserve(older.times_.size() + newer.times_.size());
   hot_index_.assign(num_slots, {});
   first_bucket_.assign(num_slots, 0);
-  bucket_starts_.reserve(previous.bucket_starts_.size() +
-                         delta.times.size() / kEventsPerBucket + num_slots);
+  bucket_starts_.reserve(older.bucket_starts_.size() +
+                         newer.bucket_starts_.size());
+  auto stored = [](const FrozenTrackingForm& run, size_t s) {
+    return run.offsets_[s] != run.offsets_[s + 1];
+  };
 
   size_t slot = 0;
   while (slot < num_slots) {
-    size_t d_begin = delta.offsets[slot];
-    size_t d_end = delta.offsets[slot + 1];
-    if (d_begin == d_end) {
-      // Maximal clean run [slot, run_end): previous timestamps of
-      // consecutive slots are contiguous, so the whole run is one bulk copy.
-      // Bucket indexes carry over with only first_bucket rebased.
-      size_t run_end = slot;
-      while (run_end < num_slots &&
-             delta.offsets[run_end] == delta.offsets[run_end + 1]) {
-        ++run_end;
-      }
-      size_t shift = times_.size() - previous.offsets_[slot];
-      times_.insert(times_.end(),
-                    previous.times_.begin() + previous.offsets_[slot],
-                    previous.times_.begin() + previous.offsets_[run_end]);
-      for (size_t s = slot; s < run_end; ++s) {
-        offsets_[s] = previous.offsets_[s] + shift;
-        size_t n = previous.offsets_[s + 1] - previous.offsets_[s];
-        if (n == 0) continue;
-        const HotIndex hot = previous.hot_index_[s];
-        const uint32_t* starts =
-            previous.bucket_starts_.data() + previous.first_bucket_[s];
-        INNET_CHECK(bucket_starts_.size() <=
-                    std::numeric_limits<uint32_t>::max());
-        first_bucket_[s] = static_cast<uint32_t>(bucket_starts_.size());
-        bucket_starts_.insert(bucket_starts_.end(), starts,
-                              starts + NumBuckets(n, hot.inv_width) + 1);
-        hot_index_[s] = hot;
-      }
-      slot = run_end;
-      continue;
-    }
-    // Dirty slot: merge the previous span with the epoch's new events. The
-    // common live-ingest case appends strictly after the stored history; a
-    // true merge keeps multi-source streams with skewed watermarks correct.
+    // Maximal clean stretch only `older` stores events in, then one only
+    // `newer` does: each is one bulk copy of that run's timestamps, and its
+    // bucket indexes carry over with only first_bucket rebased.
+    size_t end = slot;
+    while (end < num_slots && !stored(newer, end)) ++end;
+    CopySlots(older, slot, end);
+    slot = end;
+    while (end < num_slots && !stored(older, end)) ++end;
+    CopySlots(newer, slot, end);
+    slot = end;
+    if (slot == num_slots || !stored(newer, slot)) continue;
+    // Dirty slot: both runs hold events. Live ingest seals runs in time
+    // order, so the common case appends strictly after the older span; a
+    // true merge keeps late events (skewed watermarks) correct.
     offsets_[slot] = times_.size();
-    const double* old_begin = previous.SlotBegin(slot);
-    const double* old_end = previous.SlotEnd(slot);
-    const double* new_begin = delta.times.data() + d_begin;
-    const double* new_end = delta.times.data() + d_end;
-    INNET_DCHECK(std::is_sorted(new_begin, new_end));
-    if (old_begin == old_end || *(old_end - 1) <= *new_begin) {
+    const double* old_begin = older.SlotBegin(slot);
+    const double* old_end = older.SlotEnd(slot);
+    const double* new_begin = newer.SlotBegin(slot);
+    const double* new_end = newer.SlotEnd(slot);
+    if (*(old_end - 1) <= *new_begin) {
       times_.insert(times_.end(), old_begin, old_end);
       times_.insert(times_.end(), new_begin, new_end);
     } else {
@@ -112,6 +95,38 @@ FrozenTrackingForm::FrozenTrackingForm(const FrozenTrackingForm& previous,
     ++slot;
   }
   offsets_[num_slots] = times_.size();
+  first_time_ = std::min(older.first_time_, newer.first_time_);
+}
+
+void FrozenTrackingForm::CopySlots(const FrozenTrackingForm& source,
+                                   size_t begin, size_t end) {
+  if (begin == end) return;
+  // Timestamps of consecutive slots are contiguous in the source.
+  size_t shift = times_.size() - source.offsets_[begin];
+  times_.insert(times_.end(), source.times_.begin() + source.offsets_[begin],
+                source.times_.begin() + source.offsets_[end]);
+  for (size_t s = begin; s < end; ++s) {
+    offsets_[s] = source.offsets_[s] + shift;
+    size_t n = source.offsets_[s + 1] - source.offsets_[s];
+    if (n == 0) continue;
+    const HotIndex hot = source.hot_index_[s];
+    const uint32_t* starts =
+        source.bucket_starts_.data() + source.first_bucket_[s];
+    INNET_CHECK(bucket_starts_.size() <= std::numeric_limits<uint32_t>::max());
+    first_bucket_[s] = static_cast<uint32_t>(bucket_starts_.size());
+    bucket_starts_.insert(bucket_starts_.end(), starts,
+                          starts + NumBuckets(n, hot.inv_width) + 1);
+    hot_index_[s] = hot;
+  }
+}
+
+void FrozenTrackingForm::SetFirstTime() {
+  first_time_ = std::numeric_limits<double>::infinity();
+  for (size_t s = 0; s + 1 < offsets_.size(); ++s) {
+    if (offsets_[s] != offsets_[s + 1]) {
+      first_time_ = std::min(first_time_, hot_index_[s].t0);
+    }
+  }
 }
 
 // Bucketed prefix-count index: per slot, cut [first, last] event times
@@ -319,12 +334,10 @@ void AccumulateSlotSeries(const FrozenTrackingForm& store, size_t slot,
 
 }  // namespace
 
-void EvaluateStaticCountBatch(const FrozenTrackingForm& store,
-                              const std::vector<BoundaryEdge>& boundary,
-                              const double* times, size_t count,
-                              double* out) {
+void AddStaticCountBatch(const FrozenTrackingForm& store,
+                         const std::vector<BoundaryEdge>& boundary,
+                         const double* times, size_t count, double* out) {
   DCheckAscending(times, count);
-  for (size_t k = 0; k < count; ++k) out[k] = 0.0;
   size_t num_edges = boundary.size();
   for (size_t i = 0; i < num_edges; ++i) {
     if (i + 1 < num_edges) {

@@ -50,22 +50,8 @@ namespace innet::forms {
 
 /// Immutable CSR tracking store with a bucketed prefix-count time index.
 /// Build with TrackingForm::Freeze() (or the constructor) after ingestion
-/// has stopped.
-/// One epoch's worth of new crossing events in slot-major CSR layout:
-/// `times[offsets[s] .. offsets[s+1])` are the sorted-ascending new
-/// timestamps for slot s (see FrozenTrackingForm::Slot). A slot with an
-/// empty span is CLEAN — the incremental constructor reuses its previous
-/// CSR range and bucket index verbatim. Built by runtime::IngestPipeline's
-/// scatter→sort pass; kept per-epoch so the delta stays proportional to
-/// the epoch's event count, not the store size.
-struct EpochDelta {
-  std::vector<double> times;
-  std::vector<uint64_t> offsets;  // num_slots + 1 row pointers.
-
-  size_t NumSlots() const { return offsets.empty() ? 0 : offsets.size() - 1; }
-  size_t TotalEvents() const { return times.size(); }
-};
-
+/// has stopped. Live ingestion seals one per epoch as a RUN of a
+/// forms::FrozenRuns (forms/frozen_runs.h) and merges runs in pairs.
 class FrozenTrackingForm : public EdgeCountStore {
  public:
   /// Target events per time bucket; the per-slot bucket count is
@@ -85,18 +71,22 @@ class FrozenTrackingForm : public EdgeCountStore {
   FrozenTrackingForm(std::vector<double> times,
                      std::vector<uint64_t> offsets);
 
-  /// Incremental re-freeze: `previous` extended by one epoch of new events.
-  /// Clean slots (no delta events) reuse the previous CSR range and bucket
-  /// index with a bulk copy; dirty slots merge the old span with the delta
-  /// span (a straight append when the epoch starts at or after the slot's
-  /// last stored timestamp) and rebuild only their own index. The result is
-  /// bit-identical to a from-scratch Freeze() of the combined stream
-  /// (tests/ingest_pipeline_test.cc pins this).
-  FrozenTrackingForm(const FrozenTrackingForm& previous,
-                     const EpochDelta& delta);
+  /// Merge of two runs over the same slot space: the store holding every
+  /// event of both. Slots only one run stores events in keep that run's CSR
+  /// range and bucket index (maximal stretches of them are one bulk copy);
+  /// slots both runs store events in merge their spans (a straight append
+  /// when `newer` starts at or after `older`'s last timestamp there) and
+  /// rebuild only their own index. The result is bit-identical to a
+  /// from-scratch Freeze() of the combined stream (tests/frozen_runs_test.cc
+  /// pins this under every merge order of up to 5 runs).
+  FrozenTrackingForm(const FrozenTrackingForm& older,
+                     const FrozenTrackingForm& newer);
 
   size_t num_edges() const { return offsets_.size() / 2; }
   size_t TotalEvents() const { return times_.size(); }
+  /// Earliest stored timestamp (+inf when empty). No count of this store
+  /// at an instant before it can be non-zero, so a sum over runs skips it.
+  double FirstTime() const { return first_time_; }
 
   /// CSR slot of (road, direction). Forward and backward sequences of one
   /// road are adjacent, so both directions of a boundary edge share cache
@@ -207,6 +197,11 @@ class FrozenTrackingForm : public EdgeCountStore {
   /// span is already in place; appends to bucket_starts_, so callers must
   /// index slots in ascending order.
   void IndexSlot(size_t slot);
+  /// Appends slots [begin, end) of `source` — timestamps and bucket
+  /// indexes, first_bucket rebased — as one bulk copy.
+  void CopySlots(const FrozenTrackingForm& source, size_t begin, size_t end);
+  /// Sets first_time_ from the per-slot hot entries.
+  void SetFirstTime();
 
   // SoA derived index. The hot entry is everything a probe reads before it
   // knows which bucket line to touch — including both range bounds, so the
@@ -242,6 +237,7 @@ class FrozenTrackingForm : public EdgeCountStore {
   std::vector<HotIndex> hot_index_;     // Per slot (hot probe state).
   std::vector<uint32_t> first_bucket_;  // Per slot: start into bucket_starts_.
   std::vector<uint32_t> bucket_starts_; // Concatenated per-slot boundaries.
+  double first_time_ = 0.0;             // See FirstTime().
 };
 
 /// Fused static count (Thm 4.2) over a frozen store: one non-virtual,
@@ -271,13 +267,15 @@ double EvaluateBoundaryActivity(const FrozenTrackingForm& store,
                                 double t0, double t1);
 
 /// Batch static-count kernel: evaluates the boundary at `count` query times
-/// in ASCENDING order, writing out[k] = static count at times[k]. One merge
-/// pass per (edge, direction) — each slot's event array is walked once for
-/// the whole series instead of `count` independent searches. Exactly equals
-/// calling EvaluateStaticCount per time (integer arithmetic, no rounding).
-void EvaluateStaticCountBatch(const FrozenTrackingForm& store,
-                              const std::vector<BoundaryEdge>& boundary,
-                              const double* times, size_t count, double* out);
+/// in ASCENDING order, ADDING the static count at times[k] into out[k], so a
+/// series over several runs accumulates run by run (core::StoreView). One
+/// merge pass per (edge, direction) — each slot's event array is walked once
+/// for the whole series instead of `count` independent searches. Over a
+/// zeroed `out` it exactly equals calling EvaluateStaticCount per time
+/// (integer arithmetic, no rounding).
+void AddStaticCountBatch(const FrozenTrackingForm& store,
+                         const std::vector<BoundaryEdge>& boundary,
+                         const double* times, size_t count, double* out);
 
 /// Batch transient-count kernel: out[k] = net change over (t0, times[k]]
 /// for ASCENDING times.

@@ -1,11 +1,13 @@
 // RCU-style published handle over an immutable frozen store.
 //
-// The live-ingest write path (runtime::IngestPipeline) rebuilds a
-// FrozenTrackingForm off the hot path and swaps it in by bumping a
-// generation counter; readers pin a snapshot with one shared_ptr copy and
-// keep serving from it — the swap never blocks a reader and a reader never
-// blocks the swap. Reclamation is the shared_ptr refcount: an old epoch's
-// store is destroyed when the last reader snapshot holding it drops.
+// The live-ingest write path (runtime::IngestPipeline) seals each epoch as
+// a run off the hot path and swaps in the next generation — a
+// forms::FrozenRuns sharing every older run with the previous one — by
+// bumping a generation counter; readers pin a snapshot with one shared_ptr
+// copy and keep serving from it — the swap never blocks a reader and a
+// reader never blocks the swap. Reclamation is the shared_ptr refcount: a
+// generation, and any run no later generation shares, is destroyed when
+// the last reader snapshot holding it drops.
 //
 // Read protocol (the generation-stamped acquire used by
 // core::SampledQueryProcessor and runtime::BatchQueryEngine):
@@ -24,6 +26,7 @@
 #include <memory>
 #include <mutex>
 
+#include "forms/frozen_runs.h"
 #include "forms/frozen_tracking_form.h"
 
 namespace innet::forms {
@@ -34,16 +37,11 @@ namespace innet::forms {
 class FrozenStoreHandle {
  public:
   struct Snapshot {
-    std::shared_ptr<const FrozenTrackingForm> store;
+    std::shared_ptr<const FrozenRuns> store;
     uint64_t generation = 0;
   };
 
   FrozenStoreHandle() = default;
-  /// Publishes `initial` as generation 1.
-  explicit FrozenStoreHandle(
-      std::shared_ptr<const FrozenTrackingForm> initial) {
-    Publish(std::move(initial));
-  }
 
   FrozenStoreHandle(const FrozenStoreHandle&) = delete;
   FrozenStoreHandle& operator=(const FrozenStoreHandle&) = delete;
@@ -63,7 +61,7 @@ class FrozenStoreHandle {
 
   /// Installs `store` as the next generation and returns that generation.
   /// The previous store stays alive until its last snapshot drops.
-  uint64_t Publish(std::shared_ptr<const FrozenTrackingForm> store) {
+  uint64_t Publish(std::shared_ptr<const FrozenRuns> store) {
     std::lock_guard<std::mutex> lock(mutex_);
     store_ = std::move(store);
     uint64_t next = generation_.load(std::memory_order_relaxed) + 1;
@@ -71,21 +69,24 @@ class FrozenStoreHandle {
     return next;
   }
 
-  /// Recovery seeding ONLY (runtime::RecoveryManager): installs `store`
-  /// at an explicit `generation` so a restarted pipeline resumes the
-  /// generation sequence of the run it is restoring. Must not be used while
-  /// readers may hold this handle — it rewinds the monotone generation
-  /// contract that Publish() maintains.
+  /// Recovery seeding ONLY (runtime::RecoveryManager): installs `store`,
+  /// as a one-run generation, at an explicit `generation` so a restarted
+  /// pipeline resumes the generation sequence of the run it is restoring.
+  /// Must not be used while readers may hold this handle — it rewinds the
+  /// monotone generation contract that Publish() maintains.
   void Restore(std::shared_ptr<const FrozenTrackingForm> store,
                uint64_t generation) {
+    size_t num_edges = store->num_edges();
+    auto runs = std::make_shared<const FrozenRuns>(
+        num_edges, std::vector<FrozenRuns::Run>{std::move(store)});
     std::lock_guard<std::mutex> lock(mutex_);
-    store_ = std::move(store);
+    store_ = std::move(runs);
     generation_.store(generation, std::memory_order_release);
   }
 
  private:
   mutable std::mutex mutex_;
-  std::shared_ptr<const FrozenTrackingForm> store_;
+  std::shared_ptr<const FrozenRuns> store_;
   std::atomic<uint64_t> generation_{0};
 };
 

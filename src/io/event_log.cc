@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 
@@ -32,8 +33,9 @@ constexpr uint8_t kRecordCommit = 3;
 
 constexpr uint64_t kSegmentMagic = 0x696e6e657457411ULL;  // "innetWA" + v1.
 
-// Records are tiny (events: 14 bytes, commits: 33); anything near this cap
-// is a corrupt length field, rejected before allocation.
+// Records are tiny (event payloads: 17 bytes, 25 with the frame; commit
+// payloads: 33); anything near this cap is a corrupt length field,
+// rejected before allocation.
 constexpr uint32_t kMaxRecordBytes = 1u << 16;
 
 constexpr size_t kFrameBytes = 2 * sizeof(uint32_t);
@@ -62,6 +64,35 @@ size_t PackPayload(uint8_t type, const T& body, uint8_t* out) {
   out[0] = type;
   std::memcpy(out + 1, &body, sizeof(T));
   return 1 + sizeof(T);
+}
+
+// An event payload: the type byte, then EventBody's layout with its 3
+// padding bytes written as zeros, field by field. Copying a whole
+// EventBody would copy whatever the stack held in its padding into the log
+// and under its CRC.
+size_t PackEvent(const mobility::CrossingEvent& event, uint8_t* out) {
+  uint32_t edge = static_cast<uint32_t>(event.edge);
+  out[0] = kRecordEvent;
+  uint8_t* body = out + 1;
+  std::memset(body, 0, sizeof(EventBody));
+  std::memcpy(body + offsetof(EventBody, edge), &edge, sizeof(edge));
+  body[offsetof(EventBody, forward)] = event.forward ? 1 : 0;
+  std::memcpy(body + offsetof(EventBody, time), &event.time,
+              sizeof(event.time));
+  return 1 + sizeof(EventBody);
+}
+
+// Appends one frame, [crc32c(payload)] [len] [payload], to `out`.
+void AppendFrame(const uint8_t* payload, size_t bytes,
+                 std::vector<uint8_t>* out) {
+  uint32_t crc = Crc32c(payload, bytes);
+  uint32_t len = static_cast<uint32_t>(bytes);
+  size_t at = out->size();
+  out->resize(at + kFrameBytes + bytes);
+  uint8_t* frame = out->data() + at;
+  std::memcpy(frame, &crc, sizeof(crc));
+  std::memcpy(frame + sizeof(crc), &len, sizeof(len));
+  std::memcpy(frame + kFrameBytes, payload, bytes);
 }
 
 template <typename T>
@@ -398,39 +429,40 @@ util::Status EventLogWriter::OpenSegment(uint64_t seq,
   SegmentHeaderBody header{kSegmentMagic, seq, start_offset};
   uint8_t payload[1 + sizeof(header)];
   size_t len = PackPayload(kRecordSegmentHeader, header, payload);
-  util::Status status = WriteRecord(payload, len);
+  AppendFrame(payload, len, &frames_);
+  util::Status status = WriteFrames();
   if (!status.ok()) return status;
   // Make the new directory entry durable so recovery after a crash sees
   // the segment chain it is about to be part of.
   return FsyncDir(dir_);
 }
 
-util::Status EventLogWriter::WriteRecord(const void* payload, size_t bytes) {
-  uint32_t crc = Crc32c(payload, bytes);
-  uint32_t len = static_cast<uint32_t>(bytes);
-  bool ok = std::fwrite(&crc, 1, sizeof(crc), segment_) == sizeof(crc) &&
-            std::fwrite(&len, 1, sizeof(len), segment_) == sizeof(len) &&
-            std::fwrite(payload, 1, bytes, segment_) == bytes;
+util::Status EventLogWriter::WriteFrames() {
+  size_t total = frames_.size();
+  bool ok = total == 0 ||
+            std::fwrite(frames_.data(), 1, total, segment_) == total;
+  frames_.clear();
   if (!ok) {
     return util::InternalError("short write on WAL segment " +
                                SegmentPath(dir_, segment_seq_));
   }
-  uint64_t total = kFrameBytes + bytes;
   segment_bytes_ += total;
   bytes_written_ += total;
   bytes_counter_->Increment(total);
   return util::Status::Ok();
 }
 
-util::Status EventLogWriter::Append(const mobility::CrossingEvent& event) {
+util::Status EventLogWriter::Append(
+    std::span<const mobility::CrossingEvent> events) {
   INNET_DCHECK(segment_ != nullptr);
-  EventBody body{static_cast<uint32_t>(event.edge),
-                 static_cast<uint8_t>(event.forward ? 1 : 0), event.time};
-  uint8_t payload[1 + sizeof(body)];
-  size_t len = PackPayload(kRecordEvent, body, payload);
-  util::Status status = WriteRecord(payload, len);
+  frames_.reserve(events.size() * (kFrameBytes + 1 + sizeof(EventBody)));
+  uint8_t payload[1 + sizeof(EventBody)];
+  for (const mobility::CrossingEvent& event : events) {
+    AppendFrame(payload, PackEvent(event, payload), &frames_);
+  }
+  util::Status status = WriteFrames();
   if (!status.ok()) return status;
-  ++pending_events_;
+  pending_events_ += events.size();
   INNET_CRASH_POINT("wal:mid-segment");
   return util::Status::Ok();
 }
@@ -444,7 +476,8 @@ util::Status EventLogWriter::CommitEpoch(uint64_t epoch,
                   generation};
   uint8_t payload[1 + sizeof(body)];
   size_t len = PackPayload(kRecordCommit, body, payload);
-  util::Status status = WriteRecord(payload, len);
+  AppendFrame(payload, len, &frames_);
+  util::Status status = WriteFrames();
   if (!status.ok()) return status;
   if (std::fflush(segment_) != 0) {
     return util::InternalError("fflush failed on WAL segment");

@@ -6,8 +6,9 @@
 // crash loses the entire stream. The WAL makes epochs durable with
 // group-commit semantics:
 //
-//   Append(event)        frames one record into the current segment's
-//                        stdio buffer — no syscall per event
+//   Append(events)       frames a batch of event records into one buffer
+//                        and hands it to the segment's stdio buffer in
+//                        one write — no syscall per event
 //   CommitEpoch(...)     appends an epoch-commit record, flushes, fsyncs
 //
 // An event is DURABLE iff the commit record of its epoch survived. The
@@ -31,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,9 +116,10 @@ class EventLogWriter {
   EventLogWriter(const EventLogWriter&) = delete;
   EventLogWriter& operator=(const EventLogWriter&) = delete;
 
-  /// Frames one event record into the current segment buffer. Crash point
-  /// "wal:mid-segment" fires after the record is written.
-  util::Status Append(const mobility::CrossingEvent& event);
+  /// Frames one record per event, in order, into one buffer and writes it
+  /// to the current segment in one call. Crash point "wal:mid-segment"
+  /// fires after the batch is written (before any commit record).
+  util::Status Append(std::span<const mobility::CrossingEvent> events);
 
   /// Seals the epoch: commit record + flush + (optionally) fsync, rotating
   /// segments afterwards when the size threshold is crossed. `generation`
@@ -138,7 +141,8 @@ class EventLogWriter {
 
   util::Status OpenSegment(uint64_t seq, uint64_t start_offset);
   util::Status RotateIfNeeded();
-  util::Status WriteRecord(const void* payload, size_t bytes);
+  /// Writes the records framed in frames_ to the segment and clears it.
+  util::Status WriteFrames();
 
   std::string dir_;
   EventLogOptions options_;
@@ -149,6 +153,7 @@ class EventLogWriter {
   uint64_t pending_events_ = 0;
   uint64_t durable_epoch_ = 0;
   uint64_t bytes_written_ = 0;
+  std::vector<uint8_t> frames_;  // Framed records awaiting WriteFrames().
 
   obs::Counter* bytes_counter_;
   obs::Counter* commits_counter_;

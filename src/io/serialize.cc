@@ -30,12 +30,14 @@ struct FileCloser {
 };
 using File = std::unique_ptr<std::FILE, FileCloser>;
 
+// Zero-byte transfers skip stdio: an empty vector's data() may be null,
+// which fwrite/fread do not accept even for a zero count.
 bool WriteBytes(std::FILE* f, const void* data, size_t bytes) {
-  return std::fwrite(data, 1, bytes, f) == bytes;
+  return bytes == 0 || std::fwrite(data, 1, bytes, f) == bytes;
 }
 
 bool ReadBytes(std::FILE* f, void* data, size_t bytes) {
-  return std::fread(data, 1, bytes, f) == bytes;
+  return bytes == 0 || std::fread(data, 1, bytes, f) == bytes;
 }
 
 template <typename T>
@@ -339,13 +341,14 @@ util::Status FsyncParentDir(const std::string& path) {
   return util::Status::Ok();
 }
 
-}  // namespace
-
-util::Status SaveFrozenSnapshot(const forms::FrozenTrackingForm& store,
-                                const FrozenSnapshotMeta& meta,
-                                const std::string& path) {
-  const std::vector<double>& times = store.RawTimes();
-  const std::vector<uint64_t>& offsets = store.RawOffsets();
+// Writes one snapshot file around its CSR arrays: the header, one CRC over
+// everything after the magic, fsync, and the atomic rename.
+// `put_arrays(put)` writes the row pointers, then the timestamps, through
+// `put(data, bytes)`, which returns false on a short write.
+template <typename PutArrays>
+util::Status WriteSnapshotFile(const FrozenSnapshotMeta& meta,
+                               const std::string& path, uint64_t num_slots,
+                               uint64_t total_events, PutArrays put_arrays) {
   std::string tmp = path + ".tmp";
   File file(std::fopen(tmp.c_str(), "wb"));
   if (file == nullptr) {
@@ -362,15 +365,12 @@ util::Status SaveFrozenSnapshot(const forms::FrozenTrackingForm& store,
   };
   auto put_u64 = [&](uint64_t v) { return put(&v, sizeof(v)); };
 
-  uint64_t num_slots = offsets.size() - 1;
   bool ok = WriteValue(f, kSnapshotMagic) && put_u64(meta.generation) &&
             put_u64(meta.covered_epoch) && put_u64(meta.covered_events) &&
-            put_u64(num_slots) && put_u64(times.size());
+            put_u64(num_slots) && put_u64(total_events);
   if (!ok) return util::InternalError("short write: " + tmp);
   INNET_CRASH_POINT("snapshot:post-header");
-  ok = put(offsets.data(), offsets.size() * sizeof(uint64_t)) &&
-       put(times.data(), times.size() * sizeof(double)) &&
-       WriteValue(f, Crc32cFinish(crc));
+  ok = put_arrays(put) && WriteValue(f, Crc32cFinish(crc));
   if (!ok || std::fflush(f) != 0) {
     return util::InternalError("short write: " + tmp);
   }
@@ -382,6 +382,49 @@ util::Status SaveFrozenSnapshot(const forms::FrozenTrackingForm& store,
     return util::InternalError("rename failed: " + tmp + " -> " + path);
   }
   return FsyncParentDir(path);
+}
+
+}  // namespace
+
+util::Status SaveFrozenSnapshot(const forms::FrozenTrackingForm& store,
+                                const FrozenSnapshotMeta& meta,
+                                const std::string& path) {
+  const std::vector<double>& times = store.RawTimes();
+  const std::vector<uint64_t>& offsets = store.RawOffsets();
+  return WriteSnapshotFile(
+      meta, path, offsets.size() - 1, times.size(), [&](auto& put) {
+        return put(offsets.data(), offsets.size() * sizeof(uint64_t)) &&
+               put(times.data(), times.size() * sizeof(double));
+      });
+}
+
+util::Status SaveFrozenSnapshot(const forms::FrozenRuns& store,
+                                const FrozenSnapshotMeta& meta,
+                                const std::string& path) {
+  // The row pointers of the union are the sums of the runs'; the
+  // timestamps are written slot by slot, each slot's runs merged in a
+  // scratch buffer the size of one slot.
+  size_t num_slots = 2 * store.num_edges();
+  std::vector<uint64_t> offsets(num_slots + 1, 0);
+  for (const forms::FrozenRuns::Run& run : store.runs()) {
+    const std::vector<uint64_t>& run_offsets = run->RawOffsets();
+    for (size_t s = 0; s <= num_slots; ++s) offsets[s] += run_offsets[s];
+  }
+  return WriteSnapshotFile(
+      meta, path, num_slots, store.TotalEvents(), [&](auto& put) {
+        if (!put(offsets.data(), offsets.size() * sizeof(uint64_t))) {
+          return false;
+        }
+        std::vector<double> slot_times;
+        for (size_t s = 0; s < num_slots; ++s) {
+          slot_times.clear();
+          store.AppendSlot(s, &slot_times);
+          if (!put(slot_times.data(), slot_times.size() * sizeof(double))) {
+            return false;
+          }
+        }
+        return true;
+      });
 }
 
 util::StatusOr<LoadedFrozenSnapshot> LoadFrozenSnapshot(

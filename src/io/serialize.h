@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "forms/frozen_runs.h"
 #include "forms/frozen_tracking_form.h"
 #include "graph/planar_graph.h"
 #include "mobility/trajectory.h"
@@ -73,6 +74,14 @@ struct FrozenSnapshotMeta {
 /// mid-snapshot (crash point "snapshot:post-header") leaves at worst a
 /// stale .tmp that loaders never look at.
 util::Status SaveFrozenSnapshot(const forms::FrozenTrackingForm& store,
+                                const FrozenSnapshotMeta& meta,
+                                const std::string& path);
+
+/// Snapshot of a run list (a live-ingest generation): byte-identical to
+/// SaveFrozenSnapshot of a from-scratch freeze of the same events, written
+/// slot by slot from the runs without building a merged copy. A slot's
+/// bytes are its merged sequence, so the file loads as one store.
+util::Status SaveFrozenSnapshot(const forms::FrozenRuns& store,
                                 const FrozenSnapshotMeta& meta,
                                 const std::string& path);
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 
 #include "faults/crash_points.h"
-#include "forms/tracking_form.h"
 #include "io/serialize.h"
 #include "obs/flight_recorder.h"
 #include "util/logging.h"
@@ -35,8 +35,42 @@ std::string SnapshotPath(const std::string& dir, uint64_t epoch) {
 
 }  // namespace
 
+forms::FrozenTrackingForm SealRun(
+    size_t num_edges,
+    std::span<const std::vector<mobility::CrossingEvent>> batches) {
+  // Scatter: count per slot, prefix-sum into CSR offsets, then place each
+  // event. Batch order is preserved, so an in-order stream lands already
+  // sorted and the in-slot sort below is a no-op check.
+  size_t num_slots = 2 * num_edges;
+  std::vector<uint64_t> offsets(num_slots + 1, 0);
+  for (const auto& batch : batches) {
+    for (const mobility::CrossingEvent& e : batch) {
+      size_t slot = forms::FrozenTrackingForm::Slot(e.edge, e.forward);
+      INNET_CHECK(slot < num_slots);
+      ++offsets[slot + 1];
+    }
+  }
+  for (size_t s = 0; s < num_slots; ++s) offsets[s + 1] += offsets[s];
+  std::vector<double> times(offsets[num_slots]);
+  std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const auto& batch : batches) {
+    for (const mobility::CrossingEvent& e : batch) {
+      times[cursor[forms::FrozenTrackingForm::Slot(e.edge, e.forward)]++] =
+          e.time;
+    }
+  }
+  // Sort slots whose events arrived out of order (multiple sinks with
+  // skewed watermarks interleave arbitrarily within a slot).
+  for (size_t s = 0; s < num_slots; ++s) {
+    double* begin = times.data() + offsets[s];
+    double* end = times.data() + offsets[s + 1];
+    if (!std::is_sorted(begin, end)) std::sort(begin, end);
+  }
+  return forms::FrozenTrackingForm(std::move(times), std::move(offsets));
+}
+
 IngestPipeline::IngestPipeline(size_t num_edges, IngestPipelineOptions options)
-    : num_slots_(2 * num_edges),
+    : num_edges_(num_edges),
       epoch_event_target_(options.epoch_event_target),
       max_buffered_events_(options.max_buffered_events),
       overload_policy_(options.overload_policy),
@@ -65,9 +99,17 @@ IngestPipeline::IngestPipeline(size_t num_edges, IngestPipelineOptions options)
       "WAL I/O failures (durability disabled after the first)");
   refreeze_micros_ = &registry.GetHistogram(
       "innet_refreeze_duration_micros", obs::Histogram::DurationBoundsMicros(),
-      "Incremental re-freeze wall time per published epoch");
+      "Publish-path wall time per published epoch: buffer snip, WAL commit, "
+      "run seal, publish");
+  visibility_lag_micros_ = &registry.GetHistogram(
+      "innet_ingest_visibility_lag_micros",
+      obs::Histogram::DurationBoundsMicros(),
+      "Per published epoch: publish time minus the Push time of the "
+      "epoch's oldest event");
   generation_gauge_ = &registry.GetGauge(
       "innet_store_generation", "Generation of the published frozen store");
+  runs_gauge_ = &registry.GetGauge(
+      "innet_store_runs", "Sealed runs in the published store generation");
   epoch_events_gauge_ = &registry.GetGauge(
       "innet_ingest_epoch_events", "Events in the most recent published epoch");
   buffered_events_gauge_ = &registry.GetGauge(
@@ -93,23 +135,24 @@ IngestPipeline::IngestPipeline(size_t num_edges, IngestPipelineOptions options)
   if (options.resume_store != nullptr) {
     // Recovery seeding: serve the recovered store at its recovered
     // generation; the WAL (scanned above) continues the epoch sequence.
-    INNET_CHECK(options.resume_store->RawOffsets().size() - 1 == num_slots_);
+    INNET_CHECK(options.resume_store->num_edges() == num_edges_);
     handle_.Restore(options.resume_store, options.resume_generation);
     generation_gauge_->Set(static_cast<double>(options.resume_generation));
     obs::FlightRecorder::Global().Note(
         "store", "restore_generation",
         static_cast<double>(options.resume_generation));
   } else {
-    // Publish generation 1 (an empty store) so readers never see a null
-    // handle, then start the freezer.
-    forms::TrackingForm empty(num_edges);
-    handle_.Publish(
-        std::make_shared<forms::FrozenTrackingForm>(empty.Freeze()));
+    // Publish generation 1 (no runs) so readers never see a null handle,
+    // then start the freezer.
+    handle_.Publish(std::make_shared<const forms::FrozenRuns>(
+        num_edges_, std::vector<forms::FrozenRuns::Run>{}));
     generation_gauge_->Set(1.0);
     obs::FlightRecorder::Global().Note("store", "publish_generation", 1.0);
   }
+  runs_gauge_->Set(static_cast<double>(handle_.Acquire().store->num_runs()));
   last_publish_micros_.store(SteadyMicros(), std::memory_order_relaxed);
   freezer_ = std::thread([this] { FreezerLoop(); });
+  merger_ = std::thread([this] { MergeLoop(); });
 }
 
 double IngestPipeline::SecondsSinceLastPublish() const {
@@ -125,6 +168,12 @@ IngestPipeline::~IngestPipeline() {
   }
   state_cv_.notify_all();
   freezer_.join();
+  {
+    std::lock_guard<std::mutex> lock(merge_mutex_);
+    merge_stopping_ = true;
+  }
+  merge_cv_.notify_all();
+  merger_.join();
 }
 
 void IngestPipeline::RecordLost(double time, bool rejected) {
@@ -158,8 +207,7 @@ core::DegradedOptions IngestPipeline::OverloadDegradedOptions(
 }
 
 PushResult IngestPipeline::Push(const mobility::CrossingEvent& event) {
-  size_t slot = forms::FrozenTrackingForm::Slot(event.edge, event.forward);
-  INNET_DCHECK(slot < num_slots_);
+  INNET_DCHECK(event.edge < num_edges_);
   Shard& shard = *shards_[static_cast<size_t>(event.edge) & shard_mask_];
   PushResult result = PushResult::kAccepted;
 
@@ -204,7 +252,12 @@ PushResult IngestPipeline::Push(const mobility::CrossingEvent& event) {
 
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.events.push_back({static_cast<uint32_t>(slot), event.time});
+    // The clock is read once per shard and epoch: by the push that opens
+    // the buffer, whose event is the oldest the buffer will hand over (or,
+    // after a shed of the front event, the oldest it ever held). A shed
+    // that left the buffer empty lands here too and re-arms the clock.
+    if (shard.events.empty()) shard.first_push_micros = SteadyMicros();
+    shard.events.push_back(event);
   }
   // Occupancy is only tracked when a bound is set — the unbounded hot path
   // skips the shared read-modify-write (and the gauge, which would be the
@@ -250,11 +303,11 @@ void IngestPipeline::FreezerLoop() {
   for (;;) {
     state_cv_.wait(lock, [&] { return requested_ > published_ || stopping_; });
     if (requested_ > published_) {
-      // Coalesce: one rebuild covers every request made before the shard
+      // Coalesce: one publish covers every request made before the shard
       // swap below — their events are all in the buffers we snip.
       uint64_t target = requested_;
       lock.unlock();
-      RefreezeOnce();
+      PublishEpoch();
       lock.lock();
       published_ = target;
       state_cv_.notify_all();
@@ -264,18 +317,60 @@ void IngestPipeline::FreezerLoop() {
   }
 }
 
+void IngestPipeline::MergeLoop() {
+  uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(merge_mutex_);
+  for (;;) {
+    merge_cv_.wait(lock, [&] {
+      return merge_stopping_ ||
+             (publishes_ != seen && !finished_merge_.has_value());
+    });
+    if (merge_stopping_) return;
+    seen = publishes_;
+    lock.unlock();
+    // The newest generation's runs, oldest first. The freezer only appends
+    // to this list until it takes our merge, so the pair stays adjacent.
+    forms::FrozenStoreHandle::Snapshot snap = handle_.Acquire();
+    const std::vector<forms::FrozenRuns::Run>& runs = snap.store->runs();
+    std::optional<FinishedMerge> done;
+    for (size_t i = runs.size(); i-- > 1;) {
+      if (runs[i - 1]->TotalEvents() <=
+          kMergeFactor * runs[i]->TotalEvents()) {
+        done = FinishedMerge{
+            runs[i - 1], runs[i],
+            std::make_shared<const forms::FrozenTrackingForm>(*runs[i - 1],
+                                                              *runs[i])};
+        break;
+      }
+    }
+    lock.lock();
+    finished_merge_ = std::move(done);
+  }
+}
+
+bool IngestPipeline::ApplyFinishedMerge(
+    std::vector<forms::FrozenRuns::Run>* runs) {
+  std::lock_guard<std::mutex> lock(merge_mutex_);
+  if (!finished_merge_.has_value()) return false;
+  const FinishedMerge& merge = *finished_merge_;
+  for (size_t i = 0; i + 1 < runs->size(); ++i) {
+    if ((*runs)[i] == merge.older && (*runs)[i + 1] == merge.newer) {
+      (*runs)[i] = merge.merged;
+      runs->erase(runs->begin() + static_cast<std::ptrdiff_t>(i) + 1);
+      return true;
+    }
+  }
+  INNET_DCHECK(false && "a finished merge's pair is always adjacent");
+  return true;
+}
+
 void IngestPipeline::CommitEpochToWal(
-    const std::vector<std::vector<Pending>>& taken, uint64_t generation) {
+    const std::vector<std::vector<mobility::CrossingEvent>>& taken,
+    uint64_t generation) {
   util::Status status = util::Status::Ok();
   for (const auto& batch : taken) {
-    for (const Pending& p : batch) {
-      mobility::CrossingEvent event;
-      event.edge = static_cast<graph::EdgeId>(p.slot / 2);
-      event.forward = (p.slot % 2 == 0);
-      event.time = p.time;
-      status = wal_->Append(event);
-      if (!status.ok()) break;
-    }
+    if (batch.empty()) continue;
+    status = wal_->Append(batch);
     if (!status.ok()) break;
   }
   if (status.ok()) {
@@ -295,24 +390,28 @@ void IngestPipeline::CommitEpochToWal(
   ++wal_epoch_;
 }
 
-bool IngestPipeline::RefreezeOnce() {
+bool IngestPipeline::PublishEpoch() {
   auto start = std::chrono::steady_clock::now();
 
-  // Snip every shard's buffer. Each event lands in exactly one taken batch:
-  // a concurrent Push() either appended before the swap (this epoch) or
-  // appends to the fresh vector (a later epoch).
-  std::vector<std::vector<Pending>> taken;
-  taken.reserve(shards_.size());
+  // Snip every shard's buffer under all shard locks at once (taken in
+  // shard order; Push holds one at a time). Each event lands in exactly
+  // one taken batch, and the epoch is a consistent cut: no push reaches a
+  // generation without every push that happened before it, so a single
+  // writer's generations are prefixes of its push order.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (auto& shard : shards_) locks.emplace_back(shard->mutex);
+  std::vector<std::vector<mobility::CrossingEvent>> taken(shards_.size());
   size_t total = 0;
-  for (auto& shard : shards_) {
-    std::vector<Pending> batch;
-    {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      batch.swap(shard->events);
+  int64_t oldest_push = std::numeric_limits<int64_t>::max();
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    taken[i].swap(shards_[i]->events);
+    if (!taken[i].empty()) {
+      oldest_push = std::min(oldest_push, shards_[i]->first_push_micros);
     }
-    total += batch.size();
-    taken.push_back(std::move(batch));
+    total += taken[i].size();
   }
+  locks.clear();
   if (total == 0) return false;
   if (max_buffered_events_ != 0) {
     uint64_t remaining =
@@ -331,37 +430,29 @@ bool IngestPipeline::RefreezeOnce() {
   uint64_t generation = handle_.Generation() + 1;
   if (wal_ != nullptr) CommitEpochToWal(taken, generation);
 
-  // Scatter: count per slot, prefix-sum into CSR offsets, then place each
-  // event. The per-shard order is preserved, so a single in-order stream
-  // lands already sorted and the std::sort below is a no-op check.
-  forms::EpochDelta delta;
-  delta.offsets.assign(num_slots_ + 1, 0);
-  for (const auto& batch : taken) {
-    for (const Pending& p : batch) ++delta.offsets[p.slot + 1];
-  }
-  for (size_t s = 0; s < num_slots_; ++s) {
-    delta.offsets[s + 1] += delta.offsets[s];
-  }
-  delta.times.resize(total);
-  std::vector<uint64_t> cursor(delta.offsets.begin(), delta.offsets.end() - 1);
-  for (const auto& batch : taken) {
-    for (const Pending& p : batch) delta.times[cursor[p.slot]++] = p.time;
-  }
-  // Sort dirty slots that arrived out of order (multiple sinks with skewed
-  // watermarks interleave arbitrarily within a slot).
-  for (size_t s = 0; s < num_slots_; ++s) {
-    double* begin = delta.times.data() + delta.offsets[s];
-    double* end = delta.times.data() + delta.offsets[s + 1];
-    if (!std::is_sorted(begin, end)) std::sort(begin, end);
-  }
-
-  // Incremental rebuild off the reader path, then one pointer swap.
-  forms::FrozenStoreHandle::Snapshot prev = handle_.Acquire();
-  auto next = std::make_shared<forms::FrozenTrackingForm>(*prev.store, delta);
+  // The epoch becomes its own run, sealed in O(epoch + slots) whatever the
+  // stored history; the generation shares every older run with the last
+  // one, a finished merge swapped in.
+  auto run = std::make_shared<const forms::FrozenTrackingForm>(
+      SealRun(num_edges_, taken));
+  std::vector<forms::FrozenRuns::Run> runs = handle_.Acquire().store->runs();
+  bool took_merge = ApplyFinishedMerge(&runs);
+  runs.push_back(std::move(run));
+  auto next =
+      std::make_shared<const forms::FrozenRuns>(num_edges_, std::move(runs));
   INNET_CRASH_POINT("publish:pre-publish");
   uint64_t published_generation = handle_.Publish(next);
   INNET_DCHECK(published_generation == generation);
   (void)published_generation;
+  int64_t published_micros = SteadyMicros();
+  {
+    // The merge thread looks again only at a generation holding its
+    // last merge: it may not pick runs that merge already consumed.
+    std::lock_guard<std::mutex> lock(merge_mutex_);
+    if (took_merge) finished_merge_.reset();
+    ++publishes_;
+  }
+  merge_cv_.notify_one();
 
   // Periodic snapshot so recovery replays a short tail, not the full log.
   if (wal_ != nullptr && durability_.snapshot_every_epochs > 0 &&
@@ -383,8 +474,11 @@ bool IngestPipeline::RefreezeOnce() {
   epochs_published_.fetch_add(1, std::memory_order_relaxed);
   epochs_counter_->Increment();
   generation_gauge_->Set(static_cast<double>(generation));
+  runs_gauge_->Set(static_cast<double>(next->num_runs()));
   epoch_events_gauge_->Set(static_cast<double>(total));
-  last_publish_micros_.store(SteadyMicros(), std::memory_order_relaxed);
+  last_publish_micros_.store(published_micros, std::memory_order_relaxed);
+  visibility_lag_micros_->Observe(
+      static_cast<double>(published_micros - oldest_push));
   obs::FlightRecorder::Global().Note("store", "publish_generation",
                                      static_cast<double>(generation));
   refreeze_micros_->Observe(

@@ -1,13 +1,24 @@
-// Live ingestion with incremental background re-freeze.
+// Live ingestion with background publishing of sealed runs.
 //
 // The frozen serving path (forms/frozen_tracking_form.h) is a snapshot;
 // this pipeline keeps it fresh against a never-ending crossing-event
 // stream without ever blocking readers:
 //
 //   EventReorderBuffer sinks → per-shard append buffers → (epoch close)
-//     → freezer thread: scatter→sort into a slot-major EpochDelta,
-//       incremental FrozenTrackingForm rebuild (clean slots reused),
-//       FrozenStoreHandle::Publish()  — readers swap at their next query.
+//     → freezer thread: SealRun() scatter-sorts the epoch into its own
+//       run, FrozenStoreHandle::Publish() of the previous generation's
+//       runs plus the new one — readers swap at their next query;
+//     → merge thread: folds adjacent runs in pairs off the publish path.
+//
+// A publish costs O(epoch + slots), never O(store): the generation is a
+// forms::FrozenRuns that shares every older run with the previous one.
+// The merge thread keeps the run count logarithmic by one constant rule
+// (kMergeFactor): it merges the newest adjacent pair whose older run
+// holds at most kMergeFactor times the newer run's events, so an event is
+// copied O(log n) times over its life. A finished merge waits for the
+// freezer, which swaps it into the next generation it publishes — every
+// generation is one WAL epoch, and no merge runs between an epoch's
+// close and its publish.
 //
 // Epoch lifecycle: Push() appends under a shard mutex (microseconds);
 // CloseEpoch() snips every shard's buffer and hands the batch to the
@@ -15,8 +26,10 @@
 // first swaps out the shard buffer it sits in — so epoch-aligned
 // timestamps can never be dropped or double-delivered by the pipeline
 // itself (tests/ingest_pipeline_test.cc replays adversarial streams to
-// pin this). Close requests coalesce: a slow freezer drains every
-// outstanding request in one rebuild.
+// pin this). The freezer swaps every shard buffer under all shard locks
+// at once, so an epoch is a consistent cut of the push order. Close
+// requests coalesce: a slow freezer drains every outstanding request in
+// one publish.
 //
 // Durability (optional, IngestDurability): with a WAL directory set, the
 // freezer appends each epoch's events to a segmented checksummed log
@@ -31,8 +44,9 @@
 // new one. Lost events are accounted in overload() and can widen query
 // intervals through the degraded-mode machinery (OverloadDegradedOptions).
 //
-// Reclamation: superseded stores die when the last reader snapshot
-// referencing them drops (shared_ptr refcount; see forms/store_handle.h).
+// Reclamation: superseded generations and runs die when the last reader
+// snapshot referencing them drops (shared_ptr refcount; see
+// forms/store_handle.h).
 #ifndef INNET_RUNTIME_INGEST_PIPELINE_H_
 #define INNET_RUNTIME_INGEST_PIPELINE_H_
 
@@ -42,6 +56,8 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,10 +145,20 @@ struct IngestPipelineOptions {
   obs::MetricsRegistry* registry = nullptr;
 };
 
+/// Seals crossing events, in any order, into one run over `num_edges`
+/// edges: a counting sort by CSR slot, an in-slot sort only where arrival
+/// order broke, then the validating FrozenTrackingForm(times, offsets)
+/// constructor — O(events + slots). The one scatter-sort of the write
+/// path: the freezer seals each epoch with it, recovery the WAL tail.
+forms::FrozenTrackingForm SealRun(
+    size_t num_edges,
+    std::span<const std::vector<mobility::CrossingEvent>> batches);
+
 /// Concurrent ingest front-end over a FrozenStoreHandle. Push() is safe
-/// from many threads; one background freezer thread rebuilds and publishes.
-/// The constructor publishes an empty store (generation 1) so handle-mode
-/// readers always have something to serve.
+/// from many threads; one background freezer thread seals and publishes
+/// runs, and one merge thread merges them. The constructor publishes an
+/// empty store (generation 1) so handle-mode readers always have something
+/// to serve.
 class IngestPipeline {
  public:
   /// `num_edges` must cover every edge the stream can mention (for a
@@ -141,8 +167,9 @@ class IngestPipeline {
                          IngestPipelineOptions options = {});
 
   /// Drains: closes a final epoch over any buffered events, waits for the
-  /// freezer to publish it, and joins the thread. Callers must stop
-  /// pushing first — see MakeSink() for the sink-lifetime contract.
+  /// freezer to publish it, and joins both threads (a merge in flight
+  /// finishes first and is dropped). Callers must stop pushing first — see
+  /// MakeSink() for the sink-lifetime contract.
   ~IngestPipeline();
 
   IngestPipeline(const IngestPipeline&) = delete;
@@ -173,7 +200,7 @@ class IngestPipeline {
 
   /// Requests an asynchronous epoch close; returns a ticket for
   /// WaitForTicket(). Multiple outstanding requests coalesce into one
-  /// rebuild.
+  /// publish.
   uint64_t CloseEpoch();
 
   /// Blocks until the freezer has published (or skipped, when empty) every
@@ -219,29 +246,49 @@ class IngestPipeline {
       core::DegradedOptions base = {}) const;
 
  private:
-  struct Pending {
-    uint32_t slot;
-    double time;
-  };
+  /// The merge rule: merge the newest adjacent pair of runs whose older
+  /// run holds at most this many times the newer run's events.
+  static constexpr size_t kMergeFactor = 2;
+
   struct Shard {
     std::mutex mutex;
-    std::vector<Pending> events;
+    std::vector<mobility::CrossingEvent> events;
+    /// Steady-clock micros of the push that found `events` empty: the
+    /// oldest push of the shard's share of the next epoch. kShedOldest
+    /// leaves it alone when it drops the front event, so under shedding it
+    /// is the first push the shard buffered, an upper bound on the age of
+    /// what it publishes; a shed that empties the buffer re-arms it.
+    int64_t first_push_micros = 0;
+  };
+  /// A merge the merge thread finished: `merged` replaces the adjacent
+  /// pair (older, newer) in the next generation.
+  struct FinishedMerge {
+    forms::FrozenRuns::Run older;
+    forms::FrozenRuns::Run newer;
+    forms::FrozenRuns::Run merged;
   };
 
   void FreezerLoop();
+  void MergeLoop();
   /// Swaps out every shard buffer, appends + commits the epoch to the WAL
-  /// (when durable), builds the slot-major delta, rebuilds incrementally,
-  /// and publishes. Returns false when the epoch was empty.
-  bool RefreezeOnce();
+  /// (when durable), seals it as a run, and publishes the previous
+  /// generation's runs — a finished merge swapped in — plus the new run.
+  /// Returns false when the epoch was empty.
+  bool PublishEpoch();
   /// WAL append + fsync'd commit for one snipped epoch. Publishes
   /// `generation` in the commit record. On I/O failure logs ERROR and
   /// disables the WAL (fail-open: serving continues, durability stops).
-  void CommitEpochToWal(const std::vector<std::vector<Pending>>& taken,
-                        uint64_t generation);
+  void CommitEpochToWal(
+      const std::vector<std::vector<mobility::CrossingEvent>>& taken,
+      uint64_t generation);
+  /// Swaps the finished merge, if any, into `runs` in place of its pair;
+  /// true when there was one. The freezer clears it once the generation
+  /// holding it is published.
+  bool ApplyFinishedMerge(std::vector<forms::FrozenRuns::Run>* runs);
   /// Records one lost event in the overload report.
   void RecordLost(double time, bool rejected);
 
-  size_t num_slots_;
+  size_t num_edges_;
   size_t shard_mask_;
   size_t epoch_event_target_;
   size_t max_buffered_events_;
@@ -274,13 +321,25 @@ class IngestPipeline {
   bool stopping_ = false;
   std::thread freezer_;
 
+  // Merge coordination: the freezer bumps publishes_ after each publish;
+  // the merge thread works on the newest generation once the one holding
+  // its previous merge is published.
+  std::mutex merge_mutex_;
+  std::condition_variable merge_cv_;
+  std::optional<FinishedMerge> finished_merge_;
+  uint64_t publishes_ = 0;
+  bool merge_stopping_ = false;
+  std::thread merger_;
+
   obs::Counter* events_counter_;
   obs::Counter* epochs_counter_;
   obs::Counter* shed_counter_;
   obs::Counter* rejected_counter_;
   obs::Counter* wal_errors_counter_;
   obs::Histogram* refreeze_micros_;
+  obs::Histogram* visibility_lag_micros_;
   obs::Gauge* generation_gauge_;
+  obs::Gauge* runs_gauge_;
   obs::Gauge* epoch_events_gauge_;
   obs::Gauge* buffered_events_gauge_;
 };

@@ -36,37 +36,6 @@ std::vector<std::pair<uint64_t, std::string>> ListSnapshots(
   return snapshots;
 }
 
-// Scatter-sorts WAL-tail events into one slot-major EpochDelta — the exact
-// transform the ingest freezer applies per epoch. Folding the WHOLE tail as
-// one delta is bit-identical to replaying it epoch by epoch: the final CSR
-// content depends only on the final per-slot sorted sequences, which are
-// invariant under epoch partitioning.
-forms::EpochDelta BuildTailDelta(
-    const std::vector<mobility::CrossingEvent>& events, size_t num_slots) {
-  forms::EpochDelta delta;
-  delta.offsets.assign(num_slots + 1, 0);
-  for (const mobility::CrossingEvent& e : events) {
-    size_t slot = forms::FrozenTrackingForm::Slot(e.edge, e.forward);
-    INNET_CHECK(slot < num_slots);
-    ++delta.offsets[slot + 1];
-  }
-  for (size_t s = 0; s < num_slots; ++s) {
-    delta.offsets[s + 1] += delta.offsets[s];
-  }
-  delta.times.resize(events.size());
-  std::vector<uint64_t> cursor(delta.offsets.begin(), delta.offsets.end() - 1);
-  for (const mobility::CrossingEvent& e : events) {
-    size_t slot = forms::FrozenTrackingForm::Slot(e.edge, e.forward);
-    delta.times[cursor[slot]++] = e.time;
-  }
-  for (size_t s = 0; s < num_slots; ++s) {
-    double* begin = delta.times.data() + delta.offsets[s];
-    double* end = delta.times.data() + delta.offsets[s + 1];
-    if (!std::is_sorted(begin, end)) std::sort(begin, end);
-  }
-  return delta;
-}
-
 }  // namespace
 
 RecoveryManager::RecoveryManager(RecoveryOptions options)
@@ -154,9 +123,14 @@ util::StatusOr<RecoveredState> RecoveryManager::Recover() {
   if (replay->events.empty()) {
     state.store = std::move(base);
   } else {
-    forms::EpochDelta delta = BuildTailDelta(replay->events, num_slots);
-    state.store =
-        std::make_shared<forms::FrozenTrackingForm>(*base, delta);
+    // The whole tail as one run, merged onto the base: bit-identical to
+    // replaying it epoch by epoch, since the frozen content depends only on
+    // the per-slot sorted sequences, which epoch partitioning leaves alone.
+    forms::FrozenTrackingForm tail = SealRun(
+        options_.num_edges,
+        std::span<const std::vector<mobility::CrossingEvent>>(&replay->events,
+                                                              1));
+    state.store = std::make_shared<forms::FrozenTrackingForm>(*base, tail);
   }
   replay_counter.Increment(state.replayed_events);
   INNET_LOG(INFO) << "recovered epoch " << state.durable_epoch

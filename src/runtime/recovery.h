@@ -8,7 +8,8 @@
 //
 //   1. load the newest valid snapshot (snap-<epoch>.snap), if any;
 //   2. replay the WAL tail past the snapshot's covered event count;
-//   3. fold the tail into the snapshot store with one incremental rebuild.
+//   3. seal the tail as one run (SealRun) and merge it onto the snapshot
+//      store with the two-run merge the ingest merge thread uses.
 //
 // The result is BIT-IDENTICAL to the store an uninterrupted run published
 // at that epoch: the frozen CSR content depends only on the final per-slot

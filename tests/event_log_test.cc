@@ -80,15 +80,20 @@ std::vector<CrossingEvent> WriteTwoEpochLog(const std::string& dir,
   };
   auto writer = EventLogWriter::Open(dir, options);
   EXPECT_TRUE(writer.ok()) << writer.status().ToString();
-  for (size_t i = 0; i < 2; ++i) {
-    EXPECT_TRUE((*writer)->Append(events[i]).ok());
-  }
+  EXPECT_TRUE((*writer)->Append({events.data(), 2}).ok());
   EXPECT_TRUE((*writer)->CommitEpoch(1, 2).ok());
-  for (size_t i = 2; i < events.size(); ++i) {
-    EXPECT_TRUE((*writer)->Append(events[i]).ok());
-  }
+  EXPECT_TRUE((*writer)->Append({events.data() + 2, 3}).ok());
   EXPECT_TRUE((*writer)->CommitEpoch(2, 3).ok());
   return events;
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes(std::filesystem::file_size(path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return bytes;
 }
 
 void ExpectSameEvents(const std::vector<CrossingEvent>& got,
@@ -160,12 +165,13 @@ TEST(EventLogTest, RotatesSegmentsOnCommitBoundaries) {
   ASSERT_TRUE(writer.ok());
   std::vector<CrossingEvent> events;
   for (uint64_t epoch = 1; epoch <= 5; ++epoch) {
+    std::vector<CrossingEvent> batch;
     for (int i = 0; i < 3; ++i) {
-      CrossingEvent e = Event(static_cast<uint32_t>(epoch), i % 2 == 0,
-                              static_cast<double>(10 * epoch + i));
-      events.push_back(e);
-      ASSERT_TRUE((*writer)->Append(e).ok());
+      batch.push_back(Event(static_cast<uint32_t>(epoch), i % 2 == 0,
+                            static_cast<double>(10 * epoch + i)));
     }
+    events.insert(events.end(), batch.begin(), batch.end());
+    ASSERT_TRUE((*writer)->Append(batch).ok());
     ASSERT_TRUE((*writer)->CommitEpoch(epoch, epoch + 1).ok());
   }
   size_t segments = 0;
@@ -192,7 +198,7 @@ TEST(EventLogTest, ReopenResumesAfterLastCommit) {
   EXPECT_EQ((*writer)->DurableEvents(), 5u);
   EXPECT_EQ((*writer)->DurableEpoch(), 2u);
   CrossingEvent extra = Event(3, false, 9.0);
-  ASSERT_TRUE((*writer)->Append(extra).ok());
+  ASSERT_TRUE((*writer)->Append({&extra, 1}).ok());
   ASSERT_TRUE((*writer)->CommitEpoch(3, 4).ok());
   events.push_back(extra);
 
@@ -210,15 +216,17 @@ TEST(EventLogTest, ReopenTruncatesUncommittedTail) {
     // commit. They must NOT be adopted by the next writer's first commit.
     auto writer = EventLogWriter::Open(dir.path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append(Event(7, true, 100.0)).ok());
-    ASSERT_TRUE((*writer)->Append(Event(7, false, 101.0)).ok());
+    ASSERT_TRUE((*writer)
+                    ->Append(std::vector{Event(7, true, 100.0),
+                                         Event(7, false, 101.0)})
+                    .ok());
     // Destroyed without CommitEpoch — simulated crash.
   }
   ScopedLogCapture capture;
   auto writer = EventLogWriter::Open(dir.path);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   CrossingEvent extra = Event(4, true, 10.0);
-  ASSERT_TRUE((*writer)->Append(extra).ok());
+  ASSERT_TRUE((*writer)->Append({&extra, 1}).ok());
   ASSERT_TRUE((*writer)->CommitEpoch(3, 4).ok());
   events.push_back(extra);
 
@@ -232,18 +240,90 @@ TEST(EventLogTest, FreshLogAfterNoCommitStartsOver) {
   {
     auto writer = EventLogWriter::Open(dir.path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append(Event(1, true, 1.0)).ok());
+    ASSERT_TRUE((*writer)->Append(std::vector{Event(1, true, 1.0)}).ok());
     // No commit at all.
   }
   auto writer = EventLogWriter::Open(dir.path);
   ASSERT_TRUE(writer.ok());
   EXPECT_EQ((*writer)->DurableEvents(), 0u);
-  ASSERT_TRUE((*writer)->Append(Event(2, true, 2.0)).ok());
+  ASSERT_TRUE((*writer)->Append(std::vector{Event(2, true, 2.0)}).ok());
   ASSERT_TRUE((*writer)->CommitEpoch(1, 2).ok());
   auto replay = ReplayEventLog(dir.path);
   ASSERT_TRUE(replay.ok());
   ASSERT_EQ(replay->events.size(), 1u);
   EXPECT_EQ(replay->events[0].edge, 2u);
+}
+
+// ---- on-disk bytes ---------------------------------------------------------
+
+// The segment WriteTwoEpochLog leaves: a header record, five event records
+// (17-byte payloads: type, u32 edge, u8 forward, 3 zero padding bytes, f64
+// time) and two commit records, each framed as [crc32c][len][payload].
+// These are the bytes the per-event writer this batch writer replaced
+// produced in a Release build; a log written by either replays in the
+// other.
+constexpr char kTwoEpochSegmentHex[] =
+    "945a5b56190000000111744557e6e69606010000000000000000000000000000"
+    "008c943f7e11000000020000000001000000000000000000f03f150b53d61100"
+    "00000201000000000000000000000000000040ed964c4a210000000301000000"
+    "0000000002000000000000000200000000000000020000000000000063113a88"
+    "110000000200000000010000000000000000000840b21d442711000000020200"
+    "0000010000000000000000000c40a42ee7d81100000002010000000100000000"
+    "000000000010400194282a210000000302000000000000000300000000000000"
+    "05000000000000000300000000000000";
+
+TEST(EventLogTest, SegmentBytesArePinned) {
+  TempDir dir;
+  WriteTwoEpochLog(dir.path);
+  std::vector<uint8_t> bytes = ReadFileBytes(dir.path + "/wal-00000001.seg");
+  std::string hex;
+  for (uint8_t b : bytes) {
+    char digits[3];
+    std::snprintf(digits, sizeof(digits), "%02x", b);
+    hex += digits;
+  }
+  EXPECT_EQ(hex, kTwoEpochSegmentHex);
+}
+
+// Fills a stack region with `pattern` so that uninitialized bytes in the
+// next call's frames read as garbage, not zeros.
+__attribute__((noinline)) void DirtyStack(uint8_t pattern) {
+  volatile uint8_t junk[4096];
+  for (size_t i = 0; i < sizeof(junk); ++i) junk[i] = pattern;
+}
+
+TEST(EventLogTest, EventPaddingIsZeroAndWritesAreDeterministic) {
+  std::vector<CrossingEvent> events = {Event(5, true, 1.25),
+                                       Event(9, false, 2.5),
+                                       Event(5, false, 2.5),
+                                       Event(0, true, 7.0)};
+  std::vector<std::vector<uint8_t>> segments;
+  for (uint8_t pattern : {uint8_t{0xa5}, uint8_t{0x3c}}) {
+    TempDir dir;
+    {
+      auto writer = EventLogWriter::Open(dir.path);
+      ASSERT_TRUE(writer.ok());
+      DirtyStack(pattern);
+      ASSERT_TRUE((*writer)->Append(events).ok());
+      ASSERT_TRUE((*writer)->CommitEpoch(1, 2).ok());
+    }
+    segments.push_back(ReadFileBytes(dir.path + "/wal-00000001.seg"));
+  }
+  EXPECT_EQ(segments[0], segments[1]);
+
+  // Event records follow the 33-byte header record, 25 bytes each; their
+  // padding sits after the frame (8), type (1), edge (4) and forward (1).
+  const size_t kHeaderRecord = 33;
+  const size_t kEventRecord = 25;
+  ASSERT_GE(segments[0].size(), kHeaderRecord + events.size() * kEventRecord);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const uint8_t* record =
+        segments[0].data() + kHeaderRecord + i * kEventRecord;
+    EXPECT_EQ(record[8], 2) << "record " << i << " is not an event";
+    for (size_t pad = 14; pad < 17; ++pad) {
+      EXPECT_EQ(record[pad], 0) << "record " << i << " padding byte " << pad;
+    }
+  }
 }
 
 // ---- torn-write matrix ----------------------------------------------------
@@ -355,8 +435,10 @@ TEST(EventLogTest, MidLogCorruptionIsAnErrorNotATrim) {
     auto writer = EventLogWriter::Open(dir.path, options);
     ASSERT_TRUE(writer.ok());
     for (uint64_t epoch = 1; epoch <= 4; ++epoch) {
-      ASSERT_TRUE(
-          (*writer)->Append(Event(1, true, static_cast<double>(epoch))).ok());
+      ASSERT_TRUE((*writer)
+                      ->Append(std::vector{
+                          Event(1, true, static_cast<double>(epoch))})
+                      .ok());
       ASSERT_TRUE((*writer)->CommitEpoch(epoch, epoch + 1).ok());
     }
   }

@@ -160,9 +160,8 @@ TEST(FrozenTrackingFormTest, BatchKernelsMatchScalarLoops) {
     for (double& t : times) t = rng.Uniform(-10.0, 1010.0);
     std::sort(times.begin(), times.end());
 
-    std::vector<double> batch(count, -1.0);
-    EvaluateStaticCountBatch(frozen, boundary, times.data(), count,
-                             batch.data());
+    std::vector<double> batch(count, 0.0);
+    AddStaticCountBatch(frozen, boundary, times.data(), count, batch.data());
     for (size_t k = 0; k < count; ++k) {
       EXPECT_EQ(batch[k], EvaluateStaticCount(
                               static_cast<const EdgeCountStore&>(tracking),
@@ -209,9 +208,9 @@ TEST(FrozenTrackingFormTest, IdentityHoldsAtEveryDispatchLevel) {
           << "level=" << util::simd::SimdLevelName(level);
 
       std::vector<double> times = {t0, (t0 + t1) / 2, t1};
-      std::vector<double> batch(times.size(), -1.0);
-      EvaluateStaticCountBatch(frozen, boundary, times.data(), times.size(),
-                               batch.data());
+      std::vector<double> batch(times.size(), 0.0);
+      AddStaticCountBatch(frozen, boundary, times.data(), times.size(),
+                          batch.data());
       for (size_t k = 0; k < times.size(); ++k) {
         ASSERT_EQ(batch[k], EvaluateStaticCount(virtual_store, boundary,
                                                 times[k]))
@@ -237,9 +236,9 @@ TEST(FrozenTrackingFormTest, EmptyStoreAndEmptyBoundary) {
   EXPECT_EQ(EvaluateStaticCount(frozen, empty, 1.0), 0.0);
   std::vector<BoundaryEdge> boundary = {{0, true}, {4, false}};
   EXPECT_EQ(EvaluateStaticCount(frozen, boundary, 1.0), 0.0);
-  double out[3] = {-1, -1, -1};
+  double out[3] = {0, 0, 0};
   double times[3] = {0.0, 1.0, 2.0};
-  EvaluateStaticCountBatch(frozen, boundary, times, 3, out);
+  AddStaticCountBatch(frozen, boundary, times, 3, out);
   EXPECT_EQ(out[0], 0.0);
   EXPECT_EQ(out[2], 0.0);
 }

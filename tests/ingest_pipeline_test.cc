@@ -1,15 +1,21 @@
-// Live-ingest pipeline suite: incremental re-freeze must be bit-identical
-// to a from-scratch Freeze() of the same stream, handle-mode readers must
-// follow published generations (the frozen-store staleness regression),
-// epoch-aligned deliveries must land in exactly one epoch, and one writer
-// plus eight readers must be race-free (run under TSan in CI).
+// Live-ingest pipeline suite: every published generation of sealed runs
+// (merges included) must be bit-identical to a from-scratch Freeze() of
+// its prefix of the stream, handle-mode readers must follow published
+// generations (the frozen-store staleness regression), epoch-aligned
+// deliveries must land in exactly one epoch, and one writer plus eight
+// readers must be race-free (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <memory>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -21,6 +27,7 @@
 #include "forms/frozen_tracking_form.h"
 #include "forms/store_handle.h"
 #include "forms/tracking_form.h"
+#include "io/serialize.h"
 #include "runtime/ingest_pipeline.h"
 #include "sampling/samplers.h"
 #include "util/rng.h"
@@ -32,6 +39,11 @@ using forms::FrozenTrackingForm;
 using forms::TrackingForm;
 using graph::EdgeId;
 using mobility::CrossingEvent;
+
+std::vector<char> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+}
 
 // Random event stream in global time order (so per-slot order is
 // non-decreasing and a reference TrackingForm can replay it directly),
@@ -61,8 +73,8 @@ std::vector<CrossingEvent> RandomStream(uint64_t seed, size_t num_edges,
 // Asserts `frozen` is bit-identical to `reference` (a from-scratch
 // TrackingForm over the same stream): per-slot counts plus CountUpTo at
 // every stored timestamp and a nudge on each side.
-void ExpectBitIdentical(const FrozenTrackingForm& frozen,
-                        const TrackingForm& reference) {
+template <typename Store>  // FrozenTrackingForm or FrozenRuns.
+void ExpectBitIdentical(const Store& frozen, const TrackingForm& reference) {
   ASSERT_EQ(frozen.num_edges(), reference.num_edges());
   ASSERT_EQ(frozen.TotalEvents(), reference.TotalEvents());
   for (EdgeId e = 0; e < reference.num_edges(); ++e) {
@@ -131,9 +143,91 @@ TEST(IngestPipelineTest, OutOfOrderWithinEpochIsSorted) {
   pipeline.CloseEpochAndWait();
   forms::FrozenStoreHandle::Snapshot snap = pipeline.handle().Acquire();
   ASSERT_EQ(snap.store->EventCount(0, true), 5u);
-  const double* begin = snap.store->SlotBegin(FrozenTrackingForm::Slot(0, true));
-  std::vector<double> got(begin, begin + 5);
+  // Each epoch is its own sorted run; the two overlap in time, and both
+  // the slot sequence the store reports and the two-run merge of them are
+  // the merged sequence.
+  const size_t slot = FrozenTrackingForm::Slot(0, true);
+  std::vector<double> got;
+  snap.store->AppendSlot(slot, &got);
   EXPECT_EQ(got, (std::vector<double>{1.0, 2.0, 5.0, 6.0, 8.0}));
+  ASSERT_EQ(snap.store->num_runs(), 2u);
+  FrozenTrackingForm merged(*snap.store->runs()[0], *snap.store->runs()[1]);
+  const double* begin = merged.SlotBegin(slot);
+  EXPECT_EQ(std::vector<double>(begin, begin + 5),
+            (std::vector<double>{1.0, 2.0, 5.0, 6.0, 8.0}));
+}
+
+// Many small epochs, so the merge thread folds runs while the freezer
+// keeps publishing: every generation must hold exactly its prefix, and
+// merges must keep the run count logarithmic.
+TEST(IngestPipelineTest, EveryGenerationEqualsItsPrefixWhileRunsMerge) {
+  const size_t kNumEdges = 30;
+  std::vector<CrossingEvent> stream = RandomStream(37, kNumEdges, 6000);
+  IngestPipeline pipeline(kNumEdges);
+  TrackingForm prefix(kNumEdges);
+  size_t most_runs = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    pipeline.Push(stream[i]);
+    prefix.RecordTraversal(stream[i].edge, stream[i].forward, stream[i].time);
+    if ((i + 1) % 40 == 0 || i + 1 == stream.size()) {
+      pipeline.CloseEpochAndWait();
+      forms::FrozenStoreHandle::Snapshot snap = pipeline.handle().Acquire();
+      ExpectBitIdentical(*snap.store, prefix);
+      if (HasFatalFailure()) return;
+      most_runs = std::max(most_runs, snap.store->num_runs());
+    }
+  }
+  EXPECT_EQ(pipeline.EpochsPublished(), stream.size() / 40);
+  EXPECT_GT(most_runs, 1u);
+  // 150 epochs of 40 events: a factor-2 merge rule that keeps up holds
+  // about log2(150) runs; a stalled merge thread would hold ~150.
+  EXPECT_LT(most_runs, 40u);
+}
+
+// A snapshot cut from a multi-run generation is byte-for-byte the snapshot
+// of a from-scratch freeze of the same events, with the same meta.
+TEST(IngestPipelineTest, SnapshotOfRunsIsByteIdenticalToScratchSnapshot) {
+  const size_t kNumEdges = 20;
+  std::vector<CrossingEvent> stream = RandomStream(39, kNumEdges, 1500);
+  char tmpl[] = "/tmp/innet_ingest_snap_XXXXXX";
+  std::string dir = ::mkdtemp(tmpl);
+  ASSERT_FALSE(dir.empty());
+  std::string scratch_dir = dir + "/scratch";
+  std::filesystem::create_directories(scratch_dir);
+  IngestPipelineOptions options;
+  options.durability.wal_dir = dir + "/wal";
+  options.durability.snapshot_every_epochs = 1;
+  size_t multi_run_snapshots = 0;
+  {
+    IngestPipeline pipeline(kNumEdges, options);
+    TrackingForm prefix(kNumEdges);
+    for (size_t i = 0; i < stream.size(); ++i) {
+      pipeline.Push(stream[i]);
+      prefix.RecordTraversal(stream[i].edge, stream[i].forward,
+                             stream[i].time);
+      if ((i + 1) % 100 != 0) continue;
+      pipeline.CloseEpochAndWait();
+      forms::FrozenStoreHandle::Snapshot snap = pipeline.handle().Acquire();
+      if (snap.store->num_runs() > 1) ++multi_run_snapshots;
+      uint64_t epoch = (i + 1) / 100;
+      char name[64];
+      std::snprintf(name, sizeof(name), "/snap-%016llu.snap",
+                    static_cast<unsigned long long>(epoch));
+      auto loaded = io::LoadFrozenSnapshot(options.durability.wal_dir + name);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded->meta.generation, snap.generation);
+      EXPECT_EQ(loaded->meta.covered_events, i + 1);
+      std::string scratch_path = scratch_dir + name;
+      ASSERT_TRUE(
+          io::SaveFrozenSnapshot(prefix.Freeze(), loaded->meta, scratch_path)
+              .ok());
+      EXPECT_EQ(ReadBytes(options.durability.wal_dir + name),
+                ReadBytes(scratch_path))
+          << "epoch " << epoch;
+    }
+  }
+  EXPECT_GT(multi_run_snapshots, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 // Deployment-scale fixture: replay the network's monitored event stream
@@ -546,6 +640,38 @@ TEST(IngestPipelineTest, ShedOldestDropsHistoryKeepsFreshest) {
   // The buffer holds exactly the 8 freshest events: 12..19.
   EXPECT_EQ(snap.store->CountUpTo(0, true, 11.5), 0u);
   EXPECT_EQ(snap.store->CountUpTo(0, true, 19.5), 8u);
+}
+
+// innet_ingest_visibility_lag_micros under kShedOldest: a shed that
+// empties the shard buffer re-arms the clock, so the lag measures from the
+// surviving push; a shed that leaves older events behind keeps the first
+// push the shard buffered (the documented upper bound).
+TEST(IngestPipelineTest, ShedOldestVisibilityLagReArmsOnAnEmptiedBuffer) {
+  const auto kPause = std::chrono::milliseconds(250);
+  const double kPauseMicros = 250000.0;
+  for (size_t bound : {size_t{1}, size_t{2}}) {
+    obs::MetricsRegistry registry;
+    IngestPipelineOptions options;
+    options.registry = &registry;
+    options.shards = 1;
+    options.max_buffered_events = bound;
+    options.overload_policy = OverloadPolicy::kShedOldest;
+    IngestPipeline pipeline(4, options);
+    EXPECT_EQ(pipeline.Push({0, true, 1.0}), PushResult::kAccepted);
+    std::this_thread::sleep_for(kPause);
+    for (size_t i = 1; i <= bound; ++i) pipeline.Push({0, true, 1.0 + i});
+    EXPECT_EQ(pipeline.overload().shed_events, 1u);
+    pipeline.CloseEpochAndWait();
+    obs::Histogram& lag =
+        registry.GetHistogram("innet_ingest_visibility_lag_micros",
+                              obs::Histogram::DurationBoundsMicros());
+    ASSERT_EQ(lag.Count(), 1u);
+    if (bound == 1) {
+      EXPECT_LT(lag.Sum(), kPauseMicros) << "the shed emptied the buffer";
+    } else {
+      EXPECT_GE(lag.Sum(), kPauseMicros) << "the first buffered push counts";
+    }
+  }
 }
 
 }  // namespace

@@ -68,8 +68,8 @@ std::vector<CrossingEvent> RandomStream(uint64_t seed, size_t num_edges,
   return events;
 }
 
-void ExpectBitIdentical(const FrozenTrackingForm& frozen,
-                        const TrackingForm& reference) {
+template <typename Store>  // FrozenTrackingForm or FrozenRuns.
+void ExpectBitIdentical(const Store& frozen, const TrackingForm& reference) {
   ASSERT_EQ(frozen.num_edges(), reference.num_edges());
   ASSERT_EQ(frozen.TotalEvents(), reference.TotalEvents());
   for (EdgeId e = 0; e < reference.num_edges(); ++e) {

@@ -13,8 +13,8 @@
 // "x0,y0,x1,y1,t1,t2" (blank lines and #-comments skipped); --threads
 // sets the worker count and --cache the boundary-cache capacity.
 // --ingest-epochs N serves the batch from a live IngestPipeline instead of
-// the batch-built store: the monitored events replay in N epochs of
-// incremental re-freezes and the engine follows the published generations
+// the batch-built store: the monitored events replay in N epochs, each
+// published as a sealed run, and the engine follows the generations
 // (docs/API.md §"Live ingestion quickstart").
 //
 // Durability (docs/FAULTS.md §"Process & storage faults"): with
@@ -235,8 +235,8 @@ int BatchMain(util::FlagParser& flags, const core::SensorNetwork& network,
   // IngestPipeline in N epochs and serve from its published frozen store
   // via the handle-mode engine. The pipeline's innet_ingest_* metrics land
   // in the global registry, so --metrics-out exports them alongside the
-  // engine's. Answers are identical to the batch-built store by the
-  // incremental re-freeze identity guarantee (docs/PERFORMANCE.md).
+  // engine's. Answers are identical to the batch-built store because a
+  // generation's runs count exactly like one freeze (docs/PERFORMANCE.md).
   std::unique_ptr<runtime::IngestPipeline> pipeline;
   std::string wal_dir = flags.GetString("wal-dir");
   int ingest_epochs = flags.GetInt("ingest-epochs", 0);
