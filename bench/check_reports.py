@@ -22,9 +22,8 @@ REQUIRED = {
             "storage_reduction_asymptote", "batch_serial_qps",
             "batch_warm_qps", "batch_latency_p50_micros",
             "batch_latency_p95_micros", "kd-tree_err_median",
-            "shadow_checks", "shadow_mean_abs_rel_error",
-            "shadow_overhead_fraction", "digest_records",
-            "digest_distinct", "cost_accounting_overhead_fraction",
+            "digest_records", "digest_distinct",
+            "cost_accounting_overhead_fraction",
             "warm_query_allocs", "warm_query_allocs_profiled",
             "frozen_identity_abs_diff",
         ],
@@ -56,8 +55,7 @@ REQUIRED = {
             "lookup_fused_ns", "lookup_speedup_x",
             "series_virtual_ns_per_step", "series_batch_ns_per_step",
             "series_speedup_x", "warm_query_allocs", "warm_degraded_allocs",
-            "junction_lookup_ns", "junction_lookup_allocs",
-            "junction_lookup_mismatches",
+            "junction_lookup_ns",
         ],
     },
 }

@@ -220,9 +220,7 @@ int Main(const util::FlagParser& flags) {
   // QUIETEST (minimum) pairwise ratio (what the CI gates compare, since
   // scheduler noise only ever inflates a section while a real regression
   // inflates every pair — the minimum stays a sound upper-bound check and
-  // does not flake on loaded machines). Callers whose variant defers work
-  // to a background thread must keep inner=1 — longer sections would time
-  // the deferred work's CPU competition, not the enqueue cost.
+  // does not flake on loaded machines).
   struct OverheadEstimate {
     double median = 0.0;    // Central estimate across pairs.
     double quietest = 0.0;  // Minimum pair: noise-free bound, gated on.
@@ -253,43 +251,6 @@ int Main(const util::FlagParser& flags) {
     estimate.quietest = ratios.front() - 1.0;
     return estimate;
   };
-
-  // --- Online accuracy: shadow execution at 1-in-8 must stay (nearly)
-  // free on the hot path, since shadow checks run off-peak on their own
-  // thread. Both engines are cache-warm. The measured error doubles as
-  // the bench's accuracy section. ---
-  obs::AccuracyMonitorOptions accuracy_options;
-  accuracy_options.shadow_every = 8;
-  accuracy_options.total_cells = network.mobility().NumNodes();
-  accuracy_options.registry = &obs::MetricsRegistry::Global();
-  obs::AccuracyMonitor accuracy(accuracy_options);
-  runtime::BatchEngineOptions shadow_options = engine_options;
-  shadow_options.accuracy = &accuracy;
-  runtime::BatchQueryEngine shadow_engine(dep.graph(), dep.store(),
-                                          shadow_options);
-  shadow_engine.AnswerBatch(batch, core::CountKind::kStatic,
-                            core::BoundMode::kLower);
-  OverheadEstimate shadow_overhead =
-      measure_overhead(engine, shadow_engine, 1, 5);
-  shadow_engine.FlushShadow();
-  std::printf(
-      "\nshadow accuracy (1-in-8): %llu checks | mean |rel err|=%.4f "
-      "signed=%.4f | hot-path overhead %.1f%% (quietest pair %.1f%%)\n",
-      static_cast<unsigned long long>(accuracy.Comparisons()),
-      accuracy.MeanAbsRelError(), accuracy.MeanSignedRelError(),
-      shadow_overhead.median * 100.0, shadow_overhead.quietest * 100.0);
-  report.Metric("shadow_checks", static_cast<double>(accuracy.Comparisons()));
-  report.Metric("shadow_mean_abs_rel_error", accuracy.MeanAbsRelError());
-  report.Metric("shadow_mean_signed_rel_error",
-                accuracy.MeanSignedRelError());
-  report.Metric("shadow_overhead_fraction", shadow_overhead.quietest);
-  if (tiny && shadow_overhead.quietest >= 0.15) {
-    std::fprintf(stderr,
-                 "FAIL: shadow execution cost %.1f%% of headline throughput "
-                 "(budget: <15%%)\n",
-                 shadow_overhead.quietest * 100.0);
-    return 1;
-  }
 
   // --- Cost accounting: attaching the digest table + slow-query log
   // (docs/OBSERVABILITY.md §9) must cost < 5% of warm batch throughput.

@@ -321,54 +321,22 @@ double TimePerCallNs(size_t reps, size_t work, const Fn& fn) {
          static_cast<double>(reps * work);
 }
 
-// The query front end: each query rectangle to its junctions through the
-// out-parameter JunctionsInRect — timed, checked against a brute-force
-// Rect::Contains over every cell box (recomputed from FacesAroundNode as
-// the SensorNetwork constructor computes it), and its warm calls counted
-// for allocations.
-struct JunctionLookupRow {
-  double ns = 0.0;
-  uint64_t allocs = 0;
-  size_t mismatches = 0;
-};
-
-JunctionLookupRow MeasureJunctionLookup(
-    const core::SensorNetwork& network,
-    const std::vector<core::RangeQuery>& queries) {
-  const graph::PlanarGraph& mobility = network.mobility();
-  std::vector<geometry::Rect> cells;
-  for (graph::NodeId j = 0; j < mobility.NumNodes(); ++j) {
-    geometry::Rect box(mobility.Position(j).x, mobility.Position(j).y,
-                       mobility.Position(j).x, mobility.Position(j).y);
-    for (graph::FaceId f : mobility.FacesAroundNode(j)) {
-      box.ExpandToInclude(network.sensing().Position(f));
-    }
-    cells.push_back(box);
-  }
-  JunctionLookupRow row;
+// The query front end: nanoseconds per query rectangle to its junctions
+// through the out-parameter JunctionsInRect. Its exactness against brute
+// force and its zero warm allocations are pinned by
+// tests/junction_lookup_test.cc.
+double MeasureJunctionLookupNs(const core::SensorNetwork& network,
+                               const std::vector<core::RangeQuery>& queries) {
   std::vector<graph::NodeId> junctions;
-  for (const core::RangeQuery& q : queries) {
-    std::vector<graph::NodeId> brute;
-    for (graph::NodeId j = 0; j < cells.size(); ++j) {
-      if (q.rect.Contains(cells[j])) brute.push_back(j);
-    }
-    network.JunctionsInRect(q.rect, &junctions);
-    if (junctions != brute) ++row.mismatches;
-  }
   size_t hits = 0;
-  row.ns = TimePerCallNs(120, queries.size(), [&] {
+  const double ns = TimePerCallNs(120, queries.size(), [&] {
     for (const core::RangeQuery& q : queries) {
       network.JunctionsInRect(q.rect, &junctions);
       hits += junctions.size();
     }
   });
-  util::AllocProbe probe;
-  for (const core::RangeQuery& q : queries) {
-    network.JunctionsInRect(q.rect, &junctions);
-  }
-  row.allocs = probe.Delta();
   if (hits == 0) std::printf("no query rectangle holds a junction\n");
-  return row;
+  return ns;
 }
 
 int KernelReport(const util::FlagParser& flags) {
@@ -587,13 +555,9 @@ int KernelReport(const util::FlagParser& flags) {
   report.Metric("series_speedup_x",
                 series_virtual_ns / std::max(series_batch_ns, 1e-9));
 
-  const JunctionLookupRow lookup_row =
-      MeasureJunctionLookup(framework.network(), queries);
-  report.Metric("junction_lookup_ns", lookup_row.ns);
-  report.Metric("junction_lookup_allocs",
-                static_cast<double>(lookup_row.allocs));
-  report.Metric("junction_lookup_mismatches",
-                static_cast<double>(lookup_row.mismatches));
+  const double junction_lookup_ns =
+      MeasureJunctionLookupNs(framework.network(), queries);
+  report.Metric("junction_lookup_ns", junction_lookup_ns);
 
   // Warm-path allocation count: after warm-up, a workspace-threaded query
   // must not touch the heap (the same invariant tests/workspace_test.cc
@@ -639,8 +603,7 @@ int KernelReport(const util::FlagParser& flags) {
       "kernels: static %.1f -> %.1f ns (%.2fx) | transient %.1f -> %.1f ns "
       "(%.2fx) | degraded static %.1f -> %.1f ns (%.2fx) | lookup %.1f -> "
       "%.1f ns (%.2fx) | series %.2f -> %.2f ns/step (%.2fx) | drift %g | "
-      "warm allocs %.0f (degraded %.0f) | junction lookup %.1f ns (allocs "
-      "%.0f, mismatches %.0f)\n",
+      "warm allocs %.0f (degraded %.0f) | junction lookup %.1f ns\n",
       static_virtual_ns, static_fused_ns,
       static_virtual_ns / std::max(static_fused_ns, 1e-9),
       transient_virtual_ns, transient_fused_ns,
@@ -651,9 +614,7 @@ int KernelReport(const util::FlagParser& flags) {
       lookup_virtual_ns / std::max(lookup_fused_ns, 1e-9), series_virtual_ns,
       series_batch_ns, series_virtual_ns / std::max(series_batch_ns, 1e-9),
       drift, static_cast<double>(warm_allocs),
-      static_cast<double>(warm_degraded_allocs), lookup_row.ns,
-      static_cast<double>(lookup_row.allocs),
-      static_cast<double>(lookup_row.mismatches));
+      static_cast<double>(warm_degraded_allocs), junction_lookup_ns);
 
   if (drift != 0.0) {
     std::fprintf(stderr, "FAIL: fused kernels drifted from the virtual path "

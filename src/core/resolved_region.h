@@ -52,7 +52,8 @@ struct ResolvedRegion {
   /// Healthy boundaries of F+ and F- (degraded regions only).
   RegionBoundary outer;
   RegionBoundary inner;
-  /// The resolved G̃ faces (ascending), for EXPLAIN and shadow checks.
+  /// The resolved G̃ faces (ascending), for the degraded reroute, cost
+  /// accounting and EXPLAIN.
   std::vector<uint32_t> faces;
 
   const RegionBoundary& Outer() const { return degraded ? outer : boundary; }

@@ -59,10 +59,8 @@
 #include "learned/rolling_store.h"       // IWYU pragma: export
 #include "privacy/private_store.h"       // IWYU pragma: export
 
-// Observability: metrics, tracing, exporters, accuracy, provenance, and
-// the live telemetry plane (HTTP endpoint, rolling windows, SLOs, crash
-// black box).
-#include "obs/accuracy.h"         // IWYU pragma: export
+// Observability: metrics, tracing, exporters, provenance, and the live
+// telemetry plane (HTTP endpoint, rolling windows, SLOs, crash black box).
 #include "obs/build_info.h"       // IWYU pragma: export
 #include "obs/explain.h"          // IWYU pragma: export
 #include "obs/export.h"           // IWYU pragma: export

@@ -45,10 +45,8 @@ inline const char* QueryPathKindName(QueryPathKind path) {
 }
 
 /// Region-size decile of a query: region_cells * 10 / total_cells clamped
-/// to [0, 9] (0 when the total is unknown). THE shared bucketing — both
-/// AccuracyMonitor's `innet_accuracy_rel_error_decile_<d>` histograms and
-/// the digest key call this, so /queryz deciles and the accuracy metrics
-/// agree by construction.
+/// to [0, 9] (0 when the total is unknown). The digest key's decile axis;
+/// RegionDecileBuckets below is its division-free form.
 inline size_t RegionSizeDecile(size_t region_cells, size_t total_cells) {
   if (total_cells == 0) return 0;
   size_t decile = region_cells * 10 / total_cells;

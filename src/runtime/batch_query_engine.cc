@@ -1,6 +1,5 @@
 #include "runtime/batch_query_engine.h"
 
-#include <cmath>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -65,27 +64,6 @@ BatchQueryEngine::BatchQueryEngine(core::AnswerCore core,
   if (health_ != nullptr) {
     last_health_generation_.store(health_->Generation(),
                                   std::memory_order_relaxed);
-  }
-  accuracy_ = options.accuracy;
-  shadow_queue_limit_ = options.shadow_queue_limit;
-  shadow_dropped_ = &registry_->GetCounter(
-      "innet_shadow_dropped",
-      "Shadow checks dropped because the shadow queue was at its budget");
-  if (accuracy_ != nullptr) {
-    shadow_processor_ = std::make_unique<core::UnsampledQueryProcessor>(
-        core_.sampled().network());
-    shadow_thread_ = std::thread([this] { ShadowLoop(); });
-  }
-}
-
-BatchQueryEngine::~BatchQueryEngine() {
-  if (shadow_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(shadow_mutex_);
-      shadow_stop_ = true;
-    }
-    shadow_cv_.notify_all();
-    shadow_thread_.join();
   }
 }
 
@@ -164,75 +142,7 @@ core::QueryAnswer BatchQueryEngine::AnswerOne(const core::RangeQuery& query,
       slowlog_->Record(profile, explain != nullptr ? *explain : record);
     }
   }
-  if (accuracy_ != nullptr) {
-    MaybeEnqueueShadow(query, answer, kind, bound, resolved);
-  }
   return answer;
-}
-
-void BatchQueryEngine::MaybeEnqueueShadow(
-    const core::RangeQuery& query, const core::QueryAnswer& answer,
-    core::CountKind kind, core::BoundMode bound,
-    std::shared_ptr<const core::ResolvedRegion> resolved) {
-  if (!accuracy_->ShouldShadow()) return;
-  ShadowTask task;
-  task.query = query;
-  task.approx = answer.estimate;
-  task.interval_width = answer.interval.Width();
-  task.kind = kind;
-  task.bound = bound;
-  task.resolved = std::move(resolved);
-  bool enqueued = false;
-  {
-    std::lock_guard<std::mutex> lock(shadow_mutex_);
-    if (shadow_queue_.size() < shadow_queue_limit_) {
-      shadow_queue_.push_back(std::move(task));
-      ++shadow_inflight_;
-      enqueued = true;
-    }
-  }
-  if (enqueued) {
-    shadow_cv_.notify_one();
-  } else {
-    shadow_dropped_->Increment();
-  }
-}
-
-void BatchQueryEngine::ShadowLoop() {
-  std::unique_lock<std::mutex> lock(shadow_mutex_);
-  for (;;) {
-    shadow_cv_.wait(lock, [this] {
-      return shadow_stop_ || (!shadow_queue_.empty() && !batch_active_);
-    });
-    if (shadow_stop_) return;
-    ShadowTask task = std::move(shadow_queue_.front());
-    shadow_queue_.pop_front();
-    lock.unlock();
-    RunShadowTask(task);
-    lock.lock();
-    --shadow_inflight_;
-    if (shadow_inflight_ == 0) shadow_drained_cv_.notify_all();
-  }
-}
-
-void BatchQueryEngine::RunShadowTask(const ShadowTask& task) {
-  core::QueryAnswer exact =
-      shadow_processor_->Answer(task.query, task.kind);
-  size_t region_cells = task.query.junctions.size();
-  size_t resolved_cells = 0;
-  if (task.resolved != nullptr) {
-    for (uint32_t face : task.resolved->faces) {
-      resolved_cells += core_.sampled().FaceSize(face);
-    }
-  }
-  double deadspace =
-      region_cells == 0
-          ? 0.0
-          : std::abs(static_cast<double>(resolved_cells) -
-                     static_cast<double>(region_cells)) /
-                static_cast<double>(region_cells);
-  accuracy_->RecordComparison(task.approx, exact.estimate, region_cells,
-                              deadspace, task.interval_width);
 }
 
 void BatchQueryEngine::BeginBatch() {
@@ -254,25 +164,6 @@ void BatchQueryEngine::BeginBatch() {
       health_invalidations_->Increment();
     }
   }
-  if (accuracy_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(shadow_mutex_);
-  batch_active_ = true;
-}
-
-void BatchQueryEngine::EndBatch() {
-  if (accuracy_ == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(shadow_mutex_);
-    batch_active_ = false;
-  }
-  shadow_cv_.notify_one();
-}
-
-void BatchQueryEngine::FlushShadow() {
-  if (accuracy_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(shadow_mutex_);
-  shadow_cv_.notify_one();
-  shadow_drained_cv_.wait(lock, [this] { return shadow_inflight_ == 0; });
 }
 
 std::vector<core::QueryAnswer> BatchQueryEngine::AnswerBatch(
@@ -283,7 +174,6 @@ std::vector<core::QueryAnswer> BatchQueryEngine::AnswerBatch(
   pool_.ParallelFor(queries.size(), [&](size_t i) {
     answers[i] = AnswerOne(queries[i], kind, bound);
   });
-  EndBatch();
   obs::FlightRecorder::Global().Note("engine", "batch_queries",
                                      static_cast<double>(queries.size()));
   return answers;
@@ -298,7 +188,6 @@ std::vector<core::QueryAnswer> BatchQueryEngine::AnswerBatchExplained(
   pool_.ParallelFor(queries.size(), [&](size_t i) {
     answers[i] = AnswerOne(queries[i], kind, bound, &(*explains)[i]);
   });
-  EndBatch();
   return answers;
 }
 
@@ -307,9 +196,7 @@ core::QueryAnswer BatchQueryEngine::Answer(const core::RangeQuery& query,
                                            core::BoundMode bound,
                                            obs::ExplainRecord* explain) {
   BeginBatch();
-  core::QueryAnswer answer = AnswerOne(query, kind, bound, explain);
-  EndBatch();
-  return answer;
+  return AnswerOne(query, kind, bound, explain);
 }
 
 BatchEngineSnapshot BatchQueryEngine::Snapshot() const {

@@ -21,21 +21,15 @@
 #define INNET_RUNTIME_BATCH_QUERY_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/answer_core.h"
 #include "core/health.h"
 #include "core/query.h"
-#include "core/query_processor.h"
 #include "core/sampled_graph.h"
 #include "forms/edge_count_store.h"
-#include "obs/accuracy.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/query_cost.h"
@@ -86,21 +80,6 @@ struct BatchEngineOptions {
   /// breakdowns (cache lookup, boundary resolution, degraded reroute, form
   /// integration). Must outlive the engine.
   obs::Tracer* tracer = nullptr;
-
-  /// Optional online accuracy monitor (docs/OBSERVABILITY.md §"Accuracy &
-  /// EXPLAIN"). When set, the monitor's 1-in-N knob selects answered
-  /// queries for SHADOW EXECUTION: the same query is re-answered on the
-  /// exact unsampled path and the signed relative error lands in the
-  /// monitor's histograms. Shadow work runs on a dedicated background
-  /// thread that only proceeds while no batch is in flight, so the hot
-  /// path pays one queue append per shadowed query and nothing more. Must
-  /// outlive the engine.
-  obs::AccuracyMonitor* accuracy = nullptr;
-
-  /// Shadow-queue budget: pending shadow checks beyond this are dropped
-  /// (counted by `innet_shadow_dropped`) instead of growing without bound
-  /// when queries outpace the off-peak shadow capacity.
-  size_t shadow_queue_limit = 4096;
 
   /// Optional query digest table (docs/OBSERVABILITY.md §9). When set,
   /// every answered query's cost profile folds into it — lock-free,
@@ -159,7 +138,6 @@ class BatchQueryEngine {
   BatchQueryEngine(const core::SampledGraph& sampled,
                    const forms::FrozenStoreHandle& handle,
                    const BatchEngineOptions& options);
-  ~BatchQueryEngine();
 
   /// Answers every query under one (kind, bound) configuration. The result
   /// vector is index-aligned with `queries`.
@@ -181,11 +159,6 @@ class BatchQueryEngine {
                            core::BoundMode bound,
                            obs::ExplainRecord* explain = nullptr);
 
-  /// Blocks until every enqueued shadow check has executed (no-op without
-  /// an accuracy monitor). Call between batches or before reading the
-  /// monitor; never needed for correctness of the answers themselves.
-  void FlushShadow();
-
   BatchEngineSnapshot Snapshot() const;
 
   /// Drops every cached boundary (counters are kept).
@@ -198,20 +171,6 @@ class BatchQueryEngine {
   size_t CacheSize() const { return cache_.Size(); }
 
  private:
-  /// One deferred shadow check: the query, the approximate answer it got,
-  /// and the configuration to re-execute exactly.
-  struct ShadowTask {
-    core::RangeQuery query;
-    double approx = 0.0;
-    double interval_width = 0.0;
-    core::CountKind kind = core::CountKind::kStatic;
-    core::BoundMode bound = core::BoundMode::kLower;
-    /// The resolution the approximate answer used — the shadow thread
-    /// derives region size and dead space from it without re-resolving on
-    /// the hot path.
-    std::shared_ptr<const core::ResolvedRegion> resolved;
-  };
-
   /// Cache-through resolution of one query region under `bound` (through
   /// the core, under the health view when set). `cost` (optional) receives
   /// the probe, resolution and reroute times, read off `timer`.
@@ -224,25 +183,11 @@ class BatchQueryEngine {
                               core::CountKind kind, core::BoundMode bound,
                               obs::ExplainRecord* explain = nullptr);
 
-  /// Enqueues a shadow check for an answered query (drops when the queue
-  /// is at its budget).
-  void MaybeEnqueueShadow(const core::RangeQuery& query,
-                          const core::QueryAnswer& answer,
-                          core::CountKind kind, core::BoundMode bound,
-                          std::shared_ptr<const core::ResolvedRegion> resolved);
-
-  /// Background shadow loop: executes queued checks while no batch is in
-  /// flight.
-  void ShadowLoop();
-  void RunShadowTask(const ShadowTask& task);
-
   /// Opens an AnswerBatch/Answer call, once per entry point before the
   /// worker fan-out, so every worker of a batch reads one consistent store
   /// and health view: follows a swapped store (handle mode) or a moved
-  /// health generation by flushing the cache, then marks a batch in flight
-  /// (the shadow thread pauses). EndBatch lets it resume.
+  /// health generation by flushing the cache.
   void BeginBatch();
-  void EndBatch();
 
   /// Shared delegate of the public constructors.
   BatchQueryEngine(core::AnswerCore core, const BatchEngineOptions& options);
@@ -280,23 +225,6 @@ class BatchQueryEngine {
   BoundaryCache cache_;
   util::ThreadPool pool_;
   std::atomic<uint64_t> last_health_generation_{0};
-
-  // Shadow execution (only active with options.accuracy). The exact
-  // processor re-answers selected queries off-peak; shadow_inflight_
-  // counts queued + currently executing tasks so FlushShadow can wait for
-  // full drain.
-  obs::AccuracyMonitor* accuracy_ = nullptr;
-  size_t shadow_queue_limit_ = 0;
-  obs::Counter* shadow_dropped_ = nullptr;
-  std::unique_ptr<core::UnsampledQueryProcessor> shadow_processor_;
-  std::mutex shadow_mutex_;
-  std::condition_variable shadow_cv_;
-  std::condition_variable shadow_drained_cv_;
-  std::deque<ShadowTask> shadow_queue_;
-  size_t shadow_inflight_ = 0;
-  bool shadow_stop_ = false;
-  bool batch_active_ = false;
-  std::thread shadow_thread_;
 };
 
 }  // namespace innet::runtime

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Fixture test: innet_query must reject non-positive --trace-sample and
-# --shadow-sample values, and flag combinations it would otherwise ignore or
-# misapply, with a clear error BEFORE touching any input file, and keep
-# accepting valid ones.
+# Fixture test: innet_query must reject non-positive --trace-sample values,
+# and flag combinations it would otherwise ignore or misapply, with a clear
+# error BEFORE touching any input file, keep accepting valid ones, and name
+# a flag it no longer reads instead of silently dropping it.
 set -u
 
 dataset_bin=$1
@@ -13,7 +13,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 # Invalid 1-in-N values must fail fast (exit nonzero, diagnostic naming the
 # flag) even with bogus input paths — validation runs before file I/O.
-for flag in trace-sample shadow-sample; do
+for flag in trace-sample; do
   for value in 0 -3; do
     if "$query_bin" --graph /nonexistent.bin --trips /nonexistent.bin \
         --batch /nonexistent.txt --sample-fraction 0.3 \
@@ -44,24 +44,18 @@ cat >"$tmp/batch.txt" <<'EOF'
 0,0,15000,15000,0,600
 0,0,8000,8000,0,300
 EOF
+# A flag the tool no longer reads (--shadow-sample, removed with online
+# shadow execution) must not fail the run, and must be named on stderr.
 "$query_bin" --graph "$tmp/g.bin" --trips "$tmp/t.bin" \
   --batch "$tmp/batch.txt" --sample-fraction 0.3 \
   --trace-sample 2 --trace-out "$tmp/traces.jsonl" \
   --shadow-sample 1 >/dev/null 2>"$tmp/err.txt" || {
-  echo "valid --trace-sample/--shadow-sample run failed:" >&2
+  echo "valid --trace-sample run failed:" >&2
   cat "$tmp/err.txt" >&2
   exit 1
 }
-
-# The shadow report line surfaces the measured error on stderr.
-grep -q "shadow: " "$tmp/err.txt" || {
-  echo "missing shadow accuracy line on stderr:" >&2
-  cat "$tmp/err.txt" >&2
-  exit 1
-}
-# 2 queries x 2 bounds, shadowing 1-in-1 => 4 checks.
-grep -q "shadow: 4 checks (1-in-1)" "$tmp/err.txt" || {
-  echo "unexpected shadow check count (want 4 at 1-in-1):" >&2
+grep -q -- "unused flag --shadow-sample" "$tmp/err.txt" || {
+  echo "removed --shadow-sample was not reported as unused:" >&2
   cat "$tmp/err.txt" >&2
   exit 1
 }

@@ -58,10 +58,7 @@
 // object per answered configuration (resolved faces, dead space, boundary
 // size, store family, cache path, interval). --explain-svg=PATH
 // additionally renders the resolved face union and integrated boundary
-// over the network (sampled runs only). In batch mode, --shadow-sample N
-// re-executes 1-in-N answered queries on the exact unsampled path off the
-// hot path and reports the measured relative error on stderr (metrics:
-// innet_accuracy_rel_error and friends).
+// over the network (sampled runs only).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -394,19 +391,6 @@ int BatchMain(util::FlagParser& flags, const core::SensorNetwork& network,
     engine_options.tracer = &tracer;
   }
 
-  // Shadow accuracy checks (destroyed after the engine, which holds a
-  // pointer into it).
-  std::unique_ptr<obs::AccuracyMonitor> accuracy;
-  if (flags.Has("shadow-sample")) {
-    obs::AccuracyMonitorOptions accuracy_options;
-    accuracy_options.shadow_every =
-        static_cast<uint64_t>(flags.GetInt("shadow-sample", 8));
-    accuracy_options.total_cells = network.mobility().NumNodes();
-    accuracy_options.registry = &obs::MetricsRegistry::Global();
-    accuracy = std::make_unique<obs::AccuracyMonitor>(accuracy_options);
-    engine_options.accuracy = accuracy.get();
-  }
-
   std::optional<runtime::BatchQueryEngine> engine_storage;
   if (pipeline != nullptr) {
     engine_storage.emplace(deployment->graph(), pipeline->handle(),
@@ -462,16 +446,6 @@ int BatchMain(util::FlagParser& flags, const core::SensorNetwork& network,
                static_cast<unsigned long long>(snap.missed_lower),
                static_cast<unsigned long long>(snap.missed_upper),
                snap.latency_p50_micros, snap.latency_p95_micros);
-  if (accuracy != nullptr) {
-    engine.FlushShadow();
-    std::fprintf(stderr,
-                 "shadow: %llu checks (1-in-%llu) | mean |rel err|=%.4f "
-                 "signed=%.4f\n",
-                 static_cast<unsigned long long>(accuracy->Comparisons()),
-                 static_cast<unsigned long long>(
-                     accuracy->options().shadow_every),
-                 accuracy->MeanAbsRelError(), accuracy->MeanSignedRelError());
-  }
   if (slowlog != nullptr) {
     std::fprintf(stderr,
                  "slowlog: %llu records (%llu suppressed by rate limit)\n",
@@ -517,16 +491,12 @@ int Main(int argc, char** argv) {
     }
     SetMinLogLevel(level);
   }
-  // 1-in-N sampling knobs must be positive: N == 0 would divide by zero in
-  // the samplers and a negative N is always a typo. Validate before any
-  // file I/O so bad invocations fail fast.
+  // The 1-in-N trace sampling knob must be positive: N == 0 would divide by
+  // zero in the sampler and a negative N is always a typo. Validate before
+  // any file I/O so bad invocations fail fast.
   if (flags.Has("trace-sample") && flags.GetInt("trace-sample", 1) <= 0) {
     return Fail("--trace-sample must be a positive integer (trace 1-in-N "
                 "queries); got " + flags.GetString("trace-sample"));
-  }
-  if (flags.Has("shadow-sample") && flags.GetInt("shadow-sample", 8) <= 0) {
-    return Fail("--shadow-sample must be a positive integer (shadow-check "
-                "1-in-N queries); got " + flags.GetString("shadow-sample"));
   }
   if (flags.Has("ingest-epochs") && flags.GetInt("ingest-epochs", 0) <= 0) {
     return Fail("--ingest-epochs must be a positive integer (replay the "
@@ -663,7 +633,7 @@ int Main(int argc, char** argv) {
                  "[--recover]\n"
                  "observability: [--metrics-out PATH] [--trace-out PATH] "
                  "[--trace-chrome PATH] [--trace-sample N] "
-                 "[--shadow-sample N] [--slowlog-out FILE] "
+                 "[--slowlog-out FILE] "
                  "[--slowlog-threshold-ms MS] [--explain] "
                  "[--explain-svg PATH] [--log-level info|warn|error|off]\n"
                  "telemetry: [--serve-telemetry PORT] [--slo-config FILE] "
