@@ -24,6 +24,7 @@ REQUIRED = {
             "batch_latency_p95_micros", "kd-tree_err_median",
             "digest_records", "digest_distinct",
             "cost_accounting_overhead_fraction",
+            "cost_accounting_ns_per_query",
             "warm_query_allocs", "warm_query_allocs_profiled",
             "frozen_identity_abs_diff",
         ],

@@ -228,8 +228,9 @@ void FrozenTrackingForm::CountUpToSlots(const size_t* slots, size_t count,
 
 namespace {
 
-// Shared ascending-instants precondition of the batch kernels.
-void DCheckAscending(const double* times, size_t count) {
+// Shared ascending-instants precondition of the batch kernels. `times` is
+// read only by INNET_DCHECK, which compiles out of Release builds.
+void DCheckAscending([[maybe_unused]] const double* times, size_t count) {
   for (size_t k = 0; k + 1 < count; ++k) {
     INNET_DCHECK(times[k] <= times[k + 1]);
   }

@@ -6,9 +6,9 @@
 // crash loses the entire stream. The WAL makes epochs durable with
 // group-commit semantics:
 //
-//   Append(events)       frames a batch of event records into one buffer
-//                        and hands it to the segment's stdio buffer in
-//                        one write — no syscall per event
+//   Append(events)       frames a batch of event records in place in one
+//                        buffer and hands it to the segment's stdio
+//                        buffer in one write — no syscall per event
 //   CommitEpoch(...)     appends an epoch-commit record, flushes, fsyncs
 //
 // An event is DURABLE iff the commit record of its epoch survived. The
@@ -42,8 +42,9 @@
 
 namespace innet::io {
 
-/// CRC-32C (Castagnoli, software table) over `bytes`. Exposed for the
-/// snapshot writer and for tests that hand-corrupt files.
+/// CRC-32C (Castagnoli) over `bytes`, through util::simd's dispatch
+/// (SSE4.2 `crc32` or the 256-entry table; identical values). Exposed for
+/// the snapshot writer and for tests that hand-corrupt files.
 uint32_t Crc32c(const void* data, size_t bytes);
 
 /// Streaming form for multi-chunk payloads (the snapshot writer seals

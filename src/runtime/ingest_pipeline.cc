@@ -74,7 +74,8 @@ IngestPipeline::IngestPipeline(size_t num_edges, IngestPipelineOptions options)
       epoch_event_target_(options.epoch_event_target),
       max_buffered_events_(options.max_buffered_events),
       overload_policy_(options.overload_policy),
-      durability_(options.durability) {
+      durability_(options.durability),
+      seal_worker_(options.durability.wal_dir.empty() ? 0 : 1) {
   size_t shards = RoundUpPow2(std::max<size_t>(1, options.shards));
   shard_mask_ = shards - 1;
   shards_.reserve(shards);
@@ -401,7 +402,10 @@ bool IngestPipeline::PublishEpoch() {
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (auto& shard : shards_) locks.emplace_back(shard->mutex);
-  std::vector<std::vector<mobility::CrossingEvent>> taken(shards_.size());
+  // Last epoch's buffers go back in, cleared but with their capacity.
+  std::vector<std::vector<mobility::CrossingEvent>> taken =
+      std::move(spare_buffers_);
+  taken.resize(shards_.size());
   size_t total = 0;
   int64_t oldest_push = std::numeric_limits<int64_t>::max();
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -412,7 +416,14 @@ bool IngestPipeline::PublishEpoch() {
     total += taken[i].size();
   }
   locks.clear();
-  if (total == 0) return false;
+  auto recycle = [&] {
+    for (auto& buffer : taken) buffer.clear();
+    spare_buffers_ = std::move(taken);
+  };
+  if (total == 0) {
+    recycle();
+    return false;
+  }
   if (max_buffered_events_ != 0) {
     uint64_t remaining =
         buffered_events_.fetch_sub(total, std::memory_order_relaxed) - total;
@@ -423,18 +434,26 @@ bool IngestPipeline::PublishEpoch() {
     state_cv_.notify_all();
   }
 
+  // The epoch becomes its own run, sealed in O(epoch + slots) whatever the
+  // stored history, on the seal worker while this thread commits the epoch
+  // below; both only read `taken`.
+  forms::FrozenRuns::Run run;
+  seal_worker_.Submit([&] {
+    run = std::make_shared<const forms::FrozenTrackingForm>(
+        SealRun(num_edges_, taken));
+  });
+
   // Durability BEFORE visibility: the epoch's commit record is fsync'd
   // before readers can observe the generation it publishes, so every
   // generation ever served is recoverable. (A crash in between recovers to
   // a state slightly AHEAD of what was served — durable ⊇ served.)
   uint64_t generation = handle_.Generation() + 1;
   if (wal_ != nullptr) CommitEpochToWal(taken, generation);
+  seal_worker_.Wait();
+  recycle();
 
-  // The epoch becomes its own run, sealed in O(epoch + slots) whatever the
-  // stored history; the generation shares every older run with the last
-  // one, a finished merge swapped in.
-  auto run = std::make_shared<const forms::FrozenTrackingForm>(
-      SealRun(num_edges_, taken));
+  // The generation shares every older run with the last one, a finished
+  // merge swapped in.
   std::vector<forms::FrozenRuns::Run> runs = handle_.Acquire().store->runs();
   bool took_merge = ApplyFinishedMerge(&runs);
   runs.push_back(std::move(run));

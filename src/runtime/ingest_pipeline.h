@@ -5,10 +5,16 @@
 // stream without ever blocking readers:
 //
 //   EventReorderBuffer sinks → per-shard append buffers → (epoch close)
-//     → freezer thread: SealRun() scatter-sorts the epoch into its own
-//       run, FrozenStoreHandle::Publish() of the previous generation's
-//       runs plus the new one — readers swap at their next query;
+//     → freezer thread: snips the buffers, appends and fsync-commits the
+//       epoch to the WAL, then FrozenStoreHandle::Publish() of the
+//       previous generation's runs plus the new one — readers swap at
+//       their next query;
+//     → seal worker: SealRun() scatter-sorts the epoch into its own run
+//       while the freezer commits it (durable pipelines only; without a
+//       WAL the freezer seals inline, there is nothing to overlap);
 //     → merge thread: folds adjacent runs in pairs off the publish path.
+//
+// A publish therefore waits max(WAL append + fsync, seal), not their sum.
 //
 // A publish costs O(epoch + slots), never O(store): the generation is a
 // forms::FrozenRuns that shares every older run with the previous one.
@@ -27,16 +33,20 @@
 // timestamps can never be dropped or double-delivered by the pipeline
 // itself (tests/ingest_pipeline_test.cc replays adversarial streams to
 // pin this). The freezer swaps every shard buffer under all shard locks
-// at once, so an epoch is a consistent cut of the push order. Close
-// requests coalesce: a slow freezer drains every outstanding request in
-// one publish.
+// at once, so an epoch is a consistent cut of the push order. It swaps in
+// the previous epoch's buffers, cleared, so Push() appends into capacity
+// the last epoch already grew instead of regrowing from empty: each shard
+// keeps two buffers of its largest epoch share (about 2 MB each at a
+// 100k-event epoch on one shard). Close requests coalesce: a slow freezer
+// drains every outstanding request in one publish.
 //
 // Durability (optional, IngestDurability): with a WAL directory set, the
 // freezer appends each epoch's events to a segmented checksummed log
 // (io/event_log.h) and fsyncs a commit record BEFORE publishing, so every
 // generation a reader ever observed is recoverable after a crash
-// (runtime/recovery.h). Periodic snapshots (io/serialize.h) keep recovery
-// to a short tail replay.
+// (runtime/recovery.h); the seal worker builds the epoch's run meanwhile,
+// and the freezer waits for it only after the fsync returned. Periodic
+// snapshots (io/serialize.h) keep recovery to a short tail replay.
 //
 // Backpressure (optional, max_buffered_events): when the in-memory shard
 // buffers hold that many events, Push() applies OverloadPolicy — block
@@ -68,6 +78,7 @@
 #include "io/event_log.h"
 #include "mobility/trajectory.h"
 #include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace innet::runtime {
 
@@ -155,10 +166,12 @@ forms::FrozenTrackingForm SealRun(
     std::span<const std::vector<mobility::CrossingEvent>> batches);
 
 /// Concurrent ingest front-end over a FrozenStoreHandle. Push() is safe
-/// from many threads; one background freezer thread seals and publishes
-/// runs, and one merge thread merges them. The constructor publishes an
-/// empty store (generation 1) so handle-mode readers always have something
-/// to serve.
+/// from many threads. Background threads: one freezer, which commits each
+/// epoch to the WAL and publishes it; with durability on, one seal worker,
+/// which seals the epoch's run beside the freezer's WAL commit; and one
+/// merge thread, which merges runs. The constructor publishes an empty
+/// store (generation 1) so handle-mode readers always have something to
+/// serve.
 class IngestPipeline {
  public:
   /// `num_edges` must cover every edge the stream can mention (for a
@@ -167,7 +180,7 @@ class IngestPipeline {
                          IngestPipelineOptions options = {});
 
   /// Drains: closes a final epoch over any buffered events, waits for the
-  /// freezer to publish it, and joins both threads (a merge in flight
+  /// freezer to publish it, and joins every thread (a merge in flight
   /// finishes first and is dropped). Callers must stop pushing first — see
   /// MakeSink() for the sink-lifetime contract.
   ~IngestPipeline();
@@ -270,10 +283,11 @@ class IngestPipeline {
 
   void FreezerLoop();
   void MergeLoop();
-  /// Swaps out every shard buffer, appends + commits the epoch to the WAL
-  /// (when durable), seals it as a run, and publishes the previous
-  /// generation's runs — a finished merge swapped in — plus the new run.
-  /// Returns false when the epoch was empty.
+  /// Swaps out every shard buffer, seals the epoch as a run on the seal
+  /// worker while appending + committing it to the WAL (when durable),
+  /// and publishes the previous generation's runs — a finished merge
+  /// swapped in — plus the new run. Returns false when the epoch was
+  /// empty.
   bool PublishEpoch();
   /// WAL append + fsync'd commit for one snipped epoch. Publishes
   /// `generation` in the commit record. On I/O failure logs ERROR and
@@ -295,6 +309,9 @@ class IngestPipeline {
   OverloadPolicy overload_policy_;
   IngestDurability durability_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// The buffers the freezer snipped last epoch, cleared: the next snip
+  /// swaps them into the shards (freezer thread only).
+  std::vector<std::vector<mobility::CrossingEvent>> spare_buffers_;
   forms::FrozenStoreHandle handle_;
 
   std::atomic<uint64_t> events_total_{0};
@@ -308,6 +325,9 @@ class IngestPipeline {
   std::unique_ptr<io::EventLogWriter> wal_;
   uint64_t wal_epoch_ = 0;
   size_t epochs_since_snapshot_ = 0;
+  /// Seals each epoch's run while the freezer commits it: one worker when
+  /// a WAL is configured, serial (the freezer seals inline) otherwise.
+  util::ThreadPool seal_worker_;
 
   // Overload accounting.
   mutable std::mutex overload_mutex_;

@@ -52,6 +52,82 @@ size_t BoxesInsideScalarImpl(const BoxColumns& boxes, size_t begin,
   return k;
 }
 
+// CRC-32C, reflected polynomial 0x82f63b78, one byte per step through a
+// 256-entry table: the portable path, and the reference the hardware
+// path is pinned against.
+const uint32_t* Crc32cTable() {
+  static const uint32_t* const kTable = [] {
+    static uint32_t table[256];
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0x82f63b78u ^ (c >> 1) : c >> 1;
+      }
+      table[i] = c;
+    }
+    return table;
+  }();
+  return kTable;
+}
+
+uint32_t Crc32cExtendTableImpl(uint32_t state, const void* data,
+                               size_t bytes) {
+  const uint32_t* table = Crc32cTable();
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    state = table[(state ^ p[i]) & 0xffu] ^ (state >> 8);
+  }
+  return state;
+}
+
+// Feeds the eight bytes of `word`, least significant first.
+inline uint32_t Crc32cTableWord(const uint32_t* table, uint32_t state,
+                                uint64_t word) {
+  for (int k = 0; k < 8; ++k) {
+    state = table[(state ^ static_cast<uint32_t>(word >> (8 * k))) & 0xffu] ^
+            (state >> 8);
+  }
+  return state;
+}
+
+uint32_t Crc32cExtendWordsTableImpl(uint32_t state, uint64_t lo, uint64_t hi,
+                                    uint8_t tail) {
+  const uint32_t* table = Crc32cTable();
+  state = Crc32cTableWord(table, state, lo);
+  state = Crc32cTableWord(table, state, hi);
+  return table[(state ^ tail) & 0xffu] ^ (state >> 8);
+}
+
+#if defined(__x86_64__)
+// The SSE4.2 `crc32` instruction computes the same reflected Castagnoli
+// CRC as the table, eight bytes per step; the 64-bit form reads its word
+// little-endian, the order the table walks memory.
+__attribute__((target("sse4.2"))) uint32_t Crc32cExtendSse42Impl(
+    uint32_t state, const void* data, size_t bytes) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t wide = state;
+  for (; bytes >= 8; bytes -= 8, p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    wide = _mm_crc32_u64(wide, word);
+  }
+  state = static_cast<uint32_t>(wide);
+  for (; bytes > 0; --bytes, ++p) state = _mm_crc32_u8(state, *p);
+  return state;
+}
+
+__attribute__((target("sse4.2"))) uint32_t Crc32cExtendWordsSse42Impl(
+    uint32_t state, uint64_t lo, uint64_t hi, uint8_t tail) {
+  uint64_t wide = _mm_crc32_u64(_mm_crc32_u64(state, lo), hi);
+  return _mm_crc32_u8(static_cast<uint32_t>(wide), tail);
+}
+
+bool HasSse42() {
+  static const bool kHas = __builtin_cpu_supports("sse4.2");
+  return kHas;
+}
+#endif
+
 #if defined(__x86_64__) || defined(__i386__)
 // Lane offsets of the set bits of a 4-bit mask, packed low: the left-pack
 // shuffle BoxesInsideAvx2Impl stores for each group of four boxes.
@@ -139,20 +215,33 @@ size_t CountLessEqualNeonImpl(const double* p, size_t n, double t) {
 struct Kernels {
   CountLessEqualFn count_less_equal;
   BoxesInsideFn boxes_inside;
+  Crc32cExtendFn crc32c_extend;
+  Crc32cExtendWordsFn crc32c_extend_words;
 };
 
 Kernels KernelsFor(SimdLevel level) {
   switch (level) {
 #if defined(__x86_64__) || defined(__i386__)
-    case SimdLevel::kAvx2:
-      return {&CountLessEqualAvx2Impl, &BoxesInsideAvx2Impl};
+    case SimdLevel::kAvx2: {
+      Kernels kernels{&CountLessEqualAvx2Impl, &BoxesInsideAvx2Impl,
+                      &Crc32cExtendTableImpl, &Crc32cExtendWordsTableImpl};
+#if defined(__x86_64__)
+      if (HasSse42()) {
+        kernels.crc32c_extend = &Crc32cExtendSse42Impl;
+        kernels.crc32c_extend_words = &Crc32cExtendWordsSse42Impl;
+      }
+#endif
+      return kernels;
+    }
 #endif
 #if defined(__aarch64__)
     case SimdLevel::kNeon:
-      return {&CountLessEqualNeonImpl, &BoxesInsideScalarImpl};
+      return {&CountLessEqualNeonImpl, &BoxesInsideScalarImpl,
+              &Crc32cExtendTableImpl, &Crc32cExtendWordsTableImpl};
 #endif
     default:
-      return {&CountLessEqualScalarImpl, &BoxesInsideScalarImpl};
+      return {&CountLessEqualScalarImpl, &BoxesInsideScalarImpl,
+              &Crc32cExtendTableImpl, &Crc32cExtendWordsTableImpl};
   }
 }
 
@@ -166,6 +255,10 @@ void Install(SimdLevel level) {
                                    std::memory_order_relaxed);
   detail::g_boxes_inside.store(kernels.boxes_inside,
                                std::memory_order_relaxed);
+  detail::g_crc32c_extend.store(kernels.crc32c_extend,
+                                std::memory_order_relaxed);
+  detail::g_crc32c_extend_words.store(kernels.crc32c_extend_words,
+                                      std::memory_order_relaxed);
   g_active_level.store(static_cast<int>(level), std::memory_order_release);
 }
 
@@ -201,11 +294,28 @@ size_t BoxesInsideResolve(const BoxColumns& boxes, size_t begin, size_t end,
       boxes, begin, end, query, out);
 }
 
+uint32_t Crc32cExtendResolve(uint32_t state, const void* data,
+                             size_t bytes) {
+  ActiveSimdLevel();
+  return detail::g_crc32c_extend.load(std::memory_order_relaxed)(state, data,
+                                                                  bytes);
+}
+
+uint32_t Crc32cExtendWordsResolve(uint32_t state, uint64_t lo, uint64_t hi,
+                                  uint8_t tail) {
+  ActiveSimdLevel();
+  return detail::g_crc32c_extend_words.load(std::memory_order_relaxed)(
+      state, lo, hi, tail);
+}
+
 }  // namespace
 
 namespace detail {
 std::atomic<CountLessEqualFn> g_count_less_equal{&CountLessEqualResolve};
 std::atomic<BoxesInsideFn> g_boxes_inside{&BoxesInsideResolve};
+std::atomic<Crc32cExtendFn> g_crc32c_extend{&Crc32cExtendResolve};
+std::atomic<Crc32cExtendWordsFn> g_crc32c_extend_words{
+    &Crc32cExtendWordsResolve};
 }  // namespace detail
 
 const char* SimdLevelName(SimdLevel level) {
@@ -282,6 +392,18 @@ size_t BoxesInsideAt(SimdLevel level, const BoxColumns& boxes, size_t begin,
                      size_t end, const QueryBox& query, uint32_t* out) {
   INNET_CHECK(SimdLevelSupported(level));
   return KernelsFor(level).boxes_inside(boxes, begin, end, query, out);
+}
+
+uint32_t Crc32cExtendAt(SimdLevel level, uint32_t state, const void* data,
+                        size_t bytes) {
+  INNET_CHECK(SimdLevelSupported(level));
+  return KernelsFor(level).crc32c_extend(state, data, bytes);
+}
+
+uint32_t Crc32cExtendWordsAt(SimdLevel level, uint32_t state, uint64_t lo,
+                             uint64_t hi, uint8_t tail) {
+  INNET_CHECK(SimdLevelSupported(level));
+  return KernelsFor(level).crc32c_extend_words(state, lo, hi, tail);
 }
 
 }  // namespace innet::util::simd

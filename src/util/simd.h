@@ -1,21 +1,26 @@
-// Runtime SIMD dispatch for the query read path.
+// Runtime SIMD dispatch for the query read path and the WAL checksum.
 //
-// Two primitives carry the read path's scans:
+// Three primitives carry the hot scans:
 //   - CountLessEqual: how many timestamps in a short contiguous span are
 //     <= a probe time — the frozen CSR kernels
 //     (forms/frozen_tracking_form.h) spend their time here;
 //   - BoxesInside: which boxes of a structure-of-arrays column set lie
 //     inside a query box — the rectangle-to-junction front end
-//     (core::SensorNetwork::JunctionsInRect).
-// This header resolves each to the widest vector unit the host actually
-// has — AVX2 on x86-64, NEON on aarch64 (CountLessEqual only; BoxesInside
-// runs its scalar loop there), a branchless scalar loop everywhere else —
+//     (core::SensorNetwork::JunctionsInRect);
+//   - Crc32cExtend / Crc32cExtendWords: the CRC-32C behind every WAL frame
+//     and snapshot checksum (io/event_log.h).
+// This header resolves each to the widest unit the host actually has —
+// AVX2 (with SSE4.2 `crc32` for the checksum) on x86-64, NEON on aarch64
+// (CountLessEqual only; the others run their scalar loops there), a
+// branchless scalar loop or the 256-entry CRC table everywhere else —
 // picked once at startup via cpuid (`__builtin_cpu_supports`) /
 // `getauxval(AT_HWCAP)` and overridable with the `INNET_SIMD` environment
 // variable (`avx2`, `neon`, `scalar`, or `native` for the detected best).
 // Every path computes the IDENTICAL result: IEEE ordered compares are exact
-// in every width, so dispatch never changes a count or a hit list
-// (tests/simd_test.cc pins all levels against each other).
+// in every width and the `crc32` instruction computes the Castagnoli CRC
+// the table does, so dispatch never changes a count, a hit list or a byte
+// on disk (tests/simd_test.cc and tests/event_log_test.cc pin all levels
+// against each other).
 //
 // The active level is observable through `ActiveSimdName()` — surfaced as
 // the `simd` label on `innet_build_info` and in `/varz` (docs/
@@ -96,12 +101,18 @@ struct QueryBox {
 using BoxesInsideFn = size_t (*)(const BoxColumns&, size_t, size_t,
                                  const QueryBox&, uint32_t*);
 
+using Crc32cExtendFn = uint32_t (*)(uint32_t, const void*, size_t);
+using Crc32cExtendWordsFn = uint32_t (*)(uint32_t, uint64_t, uint64_t,
+                                         uint8_t);
+
 namespace detail {
 // Each starts at a resolver trampoline that installs the active level's
 // kernels on first call; after that it is a direct pointer to the level's
 // entry.
 extern std::atomic<CountLessEqualFn> g_count_less_equal;
 extern std::atomic<BoxesInsideFn> g_boxes_inside;
+extern std::atomic<Crc32cExtendFn> g_crc32c_extend;
+extern std::atomic<Crc32cExtendWordsFn> g_crc32c_extend_words;
 }  // namespace detail
 
 /// Number of elements of [p, p+n) with value <= t. No ordering assumption;
@@ -135,6 +146,35 @@ inline size_t BoxesInside(const BoxColumns& boxes, size_t begin, size_t end,
 /// as CountLessEqualAt).
 size_t BoxesInsideAt(SimdLevel level, const BoxColumns& boxes, size_t begin,
                      size_t end, const QueryBox& query, uint32_t* out);
+
+/// CRC-32C (Castagnoli, reflected polynomial 0x82f63b78) state update:
+/// feeds the `bytes` bytes at `data` into `state`, with no initial or final
+/// inversion (io::Crc32c applies both). At kAvx2 it runs the SSE4.2 `crc32`
+/// instruction eight bytes per step, when cpuid reports SSE4.2; at every
+/// other level, and on x86-64 hosts without SSE4.2, the 256-entry table a
+/// byte per step. Identical results at every level.
+inline uint32_t Crc32cExtend(uint32_t state, const void* data, size_t bytes) {
+  return detail::g_crc32c_extend.load(std::memory_order_relaxed)(state, data,
+                                                                  bytes);
+}
+
+/// The same update over 17 bytes held in registers: the eight
+/// little-endian bytes of `lo`, then those of `hi`, then `tail`. Equal to
+/// Crc32cExtend over those bytes stored in that order, but never reads
+/// them from memory — the WAL checksums each event payload before storing
+/// it, since reading just-stored bytes back stalls on store forwarding.
+inline uint32_t Crc32cExtendWords(uint32_t state, uint64_t lo, uint64_t hi,
+                                  uint8_t tail) {
+  return detail::g_crc32c_extend_words.load(std::memory_order_relaxed)(
+      state, lo, hi, tail);
+}
+
+/// Direct per-level entries of the CRC-32C updates, bypassing dispatch
+/// (same contract as CountLessEqualAt).
+uint32_t Crc32cExtendAt(SimdLevel level, uint32_t state, const void* data,
+                        size_t bytes);
+uint32_t Crc32cExtendWordsAt(SimdLevel level, uint32_t state, uint64_t lo,
+                             uint64_t hi, uint8_t tail);
 
 /// Number of leading elements of the SORTED span [p, p+n) with value <= t —
 /// equivalently std::upper_bound(p, p+n, t) - p, but computed with an

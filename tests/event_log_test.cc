@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -19,11 +20,16 @@
 #include "mobility/trajectory.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace innet::io {
 namespace {
 
 using mobility::CrossingEvent;
+using util::simd::DetectedSimdLevel;
+using util::simd::ScopedSimdLevel;
+using util::simd::SimdLevel;
+using util::simd::SimdLevelName;
 
 // ---- log capture ----------------------------------------------------------
 
@@ -108,15 +114,161 @@ void ExpectSameEvents(const std::vector<CrossingEvent>& got,
 
 // ---- CRC ------------------------------------------------------------------
 
+// Scalar (the 256-entry table) plus whatever this host dispatches to
+// natively (the SSE4.2 `crc32` path under AVX2 on x86-64).
+std::vector<SimdLevel> SupportedLevels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (DetectedSimdLevel() != SimdLevel::kScalar) {
+    levels.push_back(DetectedSimdLevel());
+  }
+  return levels;
+}
+
 TEST(Crc32cTest, KnownVectorAndStreamingEquivalence) {
-  // The canonical CRC-32C check vector.
   const char* digits = "123456789";
-  EXPECT_EQ(Crc32c(digits, 9), 0xe3069283u);
-  // Chunked == one-shot.
-  uint32_t s = kCrc32cInit;
-  s = Crc32cExtend(s, digits, 4);
-  s = Crc32cExtend(s, digits + 4, 5);
-  EXPECT_EQ(Crc32cFinish(s), 0xe3069283u);
+  for (SimdLevel level : SupportedLevels()) {
+    ScopedSimdLevel scoped(level);
+    ASSERT_TRUE(scoped.ok());
+    // The canonical CRC-32C check vector.
+    EXPECT_EQ(Crc32c(digits, 9), 0xe3069283u) << SimdLevelName(level);
+    // Chunked == one-shot.
+    uint32_t s = kCrc32cInit;
+    s = Crc32cExtend(s, digits, 4);
+    s = Crc32cExtend(s, digits + 4, 5);
+    EXPECT_EQ(Crc32cFinish(s), 0xe3069283u) << SimdLevelName(level);
+  }
+}
+
+// A buffer cut at random points and fed chunk by chunk through
+// Crc32cExtend gives, at every level, the table's one-shot CRC.
+TEST(Crc32cTest, RandomSplitsEqualTheOneShotTableCrc) {
+  util::Rng rng(29);
+  std::vector<uint8_t> bytes(777);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  uint32_t want;
+  {
+    ScopedSimdLevel scalar(SimdLevel::kScalar);
+    want = Crc32c(bytes.data(), bytes.size());
+  }
+  for (SimdLevel level : SupportedLevels()) {
+    ScopedSimdLevel scoped(level);
+    ASSERT_TRUE(scoped.ok());
+    EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), want);
+    for (int trial = 0; trial < 200; ++trial) {
+      uint32_t s = kCrc32cInit;
+      size_t at = 0;
+      while (at < bytes.size()) {
+        size_t n = std::min(bytes.size() - at,
+                            static_cast<size_t>(rng.UniformInt(0, 40)));
+        s = Crc32cExtend(s, bytes.data() + at, n);
+        at += n;
+      }
+      ASSERT_EQ(Crc32cFinish(s), want)
+          << SimdLevelName(level) << " trial " << trial;
+    }
+  }
+}
+
+double FromBits(uint64_t bits) {
+  double value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+uint64_t ToBits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Events at the edges of every field: edge ids up to the uint32 range, and
+// times with the sign, exponent and payload bit patterns a 64-bit word
+// packing could mangle.
+std::vector<CrossingEvent> FramingEdgeCaseEvents() {
+  const std::vector<uint64_t> time_bits = {
+      0x0000000000000000ull,  // +0
+      0x8000000000000000ull,  // -0
+      0x0000000000000001ull,  // smallest denormal
+      0x000fffffffffffffull,  // largest denormal
+      0x800fffffffffffffull,  // negative denormal
+      0x7ff0000000000000ull,  // +inf
+      0xfff0000000000000ull,  // -inf
+      0x7ff8000000000001ull,  // quiet NaN with a payload
+      0x7ff0000000000001ull,  // signalling NaN payload
+      0xfffdeadbeef01234ull,  // negative NaN, mixed payload
+      0x7fefffffffffffffull,  // largest finite
+      0x3ff4000000000000ull,  // 1.25
+      0x0123456789abcdefull,  // every byte distinct
+  };
+  const std::vector<uint32_t> edges = {0u,          1u,          0xffu,
+                                       0x100u,      0x7fffffffu, 0x80000000u,
+                                       0xfffffffeu, 0xffffffffu};
+  std::vector<CrossingEvent> events;
+  for (size_t i = 0; i < time_bits.size(); ++i) {
+    for (size_t j = 0; j < edges.size(); ++j) {
+      events.push_back(Event(edges[j], (i + j) % 2 == 0,
+                             FromBits(time_bits[i])));
+    }
+  }
+  return events;
+}
+
+// The reference framing: a zeroed EventBody filled field by field, the
+// type byte in front, the table CRC over those 17 bytes.
+std::vector<uint8_t> ReferenceEventRecords(
+    const std::vector<CrossingEvent>& events) {
+  ScopedSimdLevel scalar(SimdLevel::kScalar);
+  std::vector<uint8_t> out;
+  for (const CrossingEvent& e : events) {
+    uint8_t payload[17] = {};
+    payload[0] = 2;
+    uint32_t edge = static_cast<uint32_t>(e.edge);
+    std::memcpy(payload + 1, &edge, sizeof(edge));
+    payload[5] = e.forward ? 1 : 0;
+    std::memcpy(payload + 9, &e.time, sizeof(e.time));
+    uint32_t crc = Crc32c(payload, sizeof(payload));
+    uint32_t len = sizeof(payload);
+    const uint8_t* head = reinterpret_cast<const uint8_t*>(&crc);
+    out.insert(out.end(), head, head + sizeof(crc));
+    head = reinterpret_cast<const uint8_t*>(&len);
+    out.insert(out.end(), head, head + sizeof(len));
+    out.insert(out.end(), payload, payload + sizeof(payload));
+  }
+  return out;
+}
+
+// A batch framed at every level is byte-identical to the reference framing
+// (so to each other), and replays to the same bit patterns.
+TEST(Crc32cTest, FramedBatchIsByteIdenticalAtEveryLevel) {
+  const std::vector<CrossingEvent> events = FramingEdgeCaseEvents();
+  const std::vector<uint8_t> want = ReferenceEventRecords(events);
+  const size_t kHeaderRecord = 33;
+  for (SimdLevel level : SupportedLevels()) {
+    ScopedSimdLevel scoped(level);
+    ASSERT_TRUE(scoped.ok());
+    TempDir dir;
+    {
+      auto writer = EventLogWriter::Open(dir.path);
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE((*writer)->Append(events).ok());
+      ASSERT_TRUE((*writer)->CommitEpoch(1, 2).ok());
+    }
+    std::vector<uint8_t> segment =
+        ReadFileBytes(dir.path + "/wal-00000001.seg");
+    ASSERT_GE(segment.size(), kHeaderRecord + want.size());
+    EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                           segment.begin() + kHeaderRecord))
+        << SimdLevelName(level);
+
+    auto replay = ReplayEventLog(dir.path);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    ASSERT_EQ(replay->events.size(), events.size());
+    for (size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(replay->events[i].edge, events[i].edge) << i;
+      EXPECT_EQ(replay->events[i].forward, events[i].forward) << i;
+      EXPECT_EQ(ToBits(replay->events[i].time), ToBits(events[i].time)) << i;
+    }
+  }
 }
 
 // ---- basic log behavior ---------------------------------------------------

@@ -3,7 +3,8 @@
 // its prefix of the stream, handle-mode readers must follow published
 // generations (the frozen-store staleness regression), epoch-aligned
 // deliveries must land in exactly one epoch, and one writer plus eight
-// readers must be race-free (run under TSan in CI).
+// readers must be race-free, with and without the WAL and its seal worker
+// (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "forms/frozen_tracking_form.h"
 #include "forms/store_handle.h"
 #include "forms/tracking_form.h"
+#include "io/event_log.h"
 #include "io/serialize.h"
 #include "runtime/ingest_pipeline.h"
 #include "sampling/samplers.h"
@@ -448,16 +450,17 @@ TEST(IngestPipelineTest, EpochAlignedDeliveriesLandInExactlyOneEpoch) {
   }
 }
 
-// One writer ingesting while eight readers query through handle-mode
-// processors. Run under TSan in CI: readers must never block on the swap
-// and never race the freezer.
-TEST_F(IngestDeploymentFixture, ConcurrentWriterAndEightReaders) {
-  std::vector<CrossingEvent> events = MonitoredEvents();
-  ASSERT_FALSE(events.empty());
-
-  IngestPipelineOptions options;
+// One writer pushes the whole monitored stream in ~40 auto epochs while
+// eight readers query through handle-mode processors and the merge thread
+// folds runs. Run under TSan in CI: readers must never block on the swap
+// and never race the freezer. Afterwards the published store is the
+// scratch freeze, and answers like it.
+void RunWriterAndEightReaders(
+    IngestPipelineOptions options, const std::vector<CrossingEvent>& events,
+    const std::vector<core::RangeQuery>& queries,
+    const core::SampledGraph& graph, const TrackingForm& tracking) {
   options.epoch_event_target = events.size() / 40 + 1;  // ~40 auto epochs.
-  IngestPipeline pipeline(framework_.network().TotalEdgeSpace(), options);
+  IngestPipeline pipeline(tracking.num_edges(), options);
 
   std::atomic<bool> done{false};
   std::vector<std::thread> readers;
@@ -465,12 +468,11 @@ TEST_F(IngestDeploymentFixture, ConcurrentWriterAndEightReaders) {
   for (int r = 0; r < 8; ++r) {
     readers.emplace_back([&, r] {
       // One processor per reader thread; all share the handle.
-      core::SampledQueryProcessor processor(deployment_->graph(),
-                                            pipeline.handle());
+      core::SampledQueryProcessor processor(graph, pipeline.handle());
       core::QueryWorkspace workspace;
       size_t i = static_cast<size_t>(r);
       while (!done.load(std::memory_order_relaxed)) {
-        const core::RangeQuery& q = queries_[i++ % queries_.size()];
+        const core::RangeQuery& q = queries[i++ % queries.size()];
         core::QueryAnswer a =
             processor.Answer(q, core::CountKind::kStatic,
                              core::BoundMode::kLower, nullptr, &workspace);
@@ -494,18 +496,58 @@ TEST_F(IngestDeploymentFixture, ConcurrentWriterAndEightReaders) {
   EXPECT_GT(answers.load(), 0u);
 
   // After the dust settles the published store is the full stream.
-  const TrackingForm* tracking = deployment_->tracking_store();
-  ASSERT_NE(tracking, nullptr);
-  FrozenTrackingForm scratch = tracking->Freeze();
-  core::SampledQueryProcessor reference(deployment_->graph(), scratch);
-  core::SampledQueryProcessor live(deployment_->graph(), pipeline.handle());
-  for (const core::RangeQuery& q : queries_) {
+  FrozenTrackingForm scratch = tracking.Freeze();
+  core::SampledQueryProcessor reference(graph, scratch);
+  core::SampledQueryProcessor live(graph, pipeline.handle());
+  for (const core::RangeQuery& q : queries) {
     EXPECT_EQ(
         reference.Answer(q, core::CountKind::kStatic, core::BoundMode::kLower)
             .estimate,
         live.Answer(q, core::CountKind::kStatic, core::BoundMode::kLower)
             .estimate);
   }
+  ExpectBitIdentical(*pipeline.handle().Acquire().store, tracking);
+}
+
+TEST_F(IngestDeploymentFixture, ConcurrentWriterAndEightReaders) {
+  std::vector<CrossingEvent> events = MonitoredEvents();
+  ASSERT_FALSE(events.empty());
+  const TrackingForm* tracking = deployment_->tracking_store();
+  ASSERT_NE(tracking, nullptr);
+  RunWriterAndEightReaders(IngestPipelineOptions{}, events, queries_,
+                           deployment_->graph(), *tracking);
+}
+
+// The same race with durability on: every publish runs its seal on the
+// seal worker beside a WAL append + fsync'd commit, and a snapshot every
+// few epochs, while readers and the merge thread run (TSan in CI). The
+// log then replays every event, in push order.
+TEST_F(IngestDeploymentFixture, DurableWriterAndEightReaders) {
+  std::vector<CrossingEvent> events = MonitoredEvents();
+  ASSERT_FALSE(events.empty());
+  const TrackingForm* tracking = deployment_->tracking_store();
+  ASSERT_NE(tracking, nullptr);
+  char tmpl[] = "/tmp/innet_ingest_durable_XXXXXX";
+  std::string dir = ::mkdtemp(tmpl);
+  ASSERT_FALSE(dir.empty());
+  IngestPipelineOptions options;
+  options.shards = 1;  // Log order is then push order.
+  options.durability.wal_dir = dir + "/wal";
+  options.durability.snapshot_every_epochs = 8;
+  RunWriterAndEightReaders(options, events, queries_,
+                           deployment_->graph(), *tracking);
+
+  auto replay = io::ReplayEventLog(options.durability.wal_dir);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replay->durable_events, events.size());
+  EXPECT_EQ(replay->discarded_events, 0u);
+  ASSERT_EQ(replay->events.size(), events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(replay->events[i].edge, events[i].edge) << i;
+    ASSERT_EQ(replay->events[i].forward, events[i].forward) << i;
+    ASSERT_EQ(replay->events[i].time, events[i].time) << i;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // Satellite fix: waiting on a ticket CloseEpoch() never issued used to

@@ -2,13 +2,15 @@
 // vectorized frozen-store lookups built on it: every dispatch level this
 // hardware supports must agree exactly with a scalar ground truth — and with
 // std::upper_bound — over adversarial spans (duplicate-heavy, bucket-aligned,
-// denormal, ±inf, NaN, empty, single-element), and the box scan behind
-// junction lookup with Rect::Contains.
+// denormal, ±inf, NaN, empty, single-element), the box scan behind
+// junction lookup with Rect::Contains, and both CRC-32C updates with a
+// bitwise reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -391,6 +393,70 @@ TEST(FrozenCountUpToSlotTest, CrossLevelFuzzAgreesWithScalar) {
       ASSERT_EQ(frozen.CountUpToSlot(slot, t), want)
           << "level=" << SimdLevelName(level) << " slot=" << slot
           << " t=" << t;
+    }
+  }
+}
+
+// ---- CRC-32C ----------------------------------------------------------------
+
+// Bytes-at-a-time reference, straight from the reflected polynomial.
+uint32_t BitwiseCrc32c(uint32_t state, const uint8_t* p, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    state ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      state = (state & 1) ? 0x82f63b78u ^ (state >> 1) : state >> 1;
+    }
+  }
+  return state;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, util::Rng& rng) {
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  return bytes;
+}
+
+// Every length 0-64 at every start offset 0-7 (so the eight-byte steps see
+// every alignment and every tail length), from several starting states:
+// each level equals the bitwise reference.
+TEST(Crc32cExtendTest, AllLevelsMatchReferenceAtEveryLengthAndOffset) {
+  util::Rng rng(71);
+  std::vector<uint8_t> buffer = RandomBytes(64 + 8, rng);
+  for (uint32_t state : {0xffffffffu, 0u, 0x12345678u}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t n = 0; n <= 64; ++n) {
+        const uint8_t* p = buffer.data() + offset;
+        uint32_t want = BitwiseCrc32c(state, p, n);
+        for (SimdLevel level : SupportedLevels()) {
+          ASSERT_EQ(Crc32cExtendAt(level, state, p, n), want)
+              << "level=" << SimdLevelName(level) << " offset=" << offset
+              << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+// The register form equals the byte form over the same 17 bytes stored
+// little-endian, at every level, and the dispatched entries follow the
+// forced level.
+TEST(Crc32cExtendTest, WordsEqualTheirStoredBytesAtEveryLevel) {
+  util::Rng rng(73);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<uint8_t> bytes = RandomBytes(17, rng);
+    uint64_t lo;
+    uint64_t hi;
+    std::memcpy(&lo, bytes.data(), sizeof(lo));
+    std::memcpy(&hi, bytes.data() + 8, sizeof(hi));
+    uint32_t state = static_cast<uint32_t>(rng.UniformInt(0, 0xffffffffLL));
+    uint32_t want = BitwiseCrc32c(state, bytes.data(), bytes.size());
+    for (SimdLevel level : SupportedLevels()) {
+      ASSERT_EQ(Crc32cExtendWordsAt(level, state, lo, hi, bytes[16]), want)
+          << "level=" << SimdLevelName(level) << " trial=" << trial;
+      ScopedSimdLevel scoped(level);
+      ASSERT_TRUE(scoped.ok());
+      ASSERT_EQ(Crc32cExtendWords(state, lo, hi, bytes[16]), want);
+      ASSERT_EQ(Crc32cExtend(state, bytes.data(), bytes.size()), want);
     }
   }
 }

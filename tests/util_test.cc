@@ -274,7 +274,7 @@ TEST(TimerTest, MeasuresElapsedTime) {
   Timer timer;
   // Busy-wait a tiny, bounded amount.
   volatile double sink = 0.0;
-  for (int i = 0; i < 200000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 200000; ++i) sink = sink + i * 0.5;
   double elapsed = timer.ElapsedSeconds();
   EXPECT_GT(elapsed, 0.0);
   EXPECT_LT(elapsed, 5.0);
