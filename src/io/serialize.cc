@@ -1,6 +1,7 @@
 #include "io/serialize.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -53,6 +54,19 @@ bool ReadValue(std::FILE* f, T* value) {
 // Guards against absurd counts from corrupt headers before allocating.
 constexpr uint64_t kMaxReasonableCount = 1ull << 32;
 
+// Bytes between `f`'s read position and the end of the file. A loader
+// checks each claimed count against it before allocating, so a corrupt
+// count costs a Status, not an allocation the file cannot back.
+uint64_t BytesLeft(std::FILE* f) {
+  long position = std::ftell(f);
+  struct stat st;
+  if (position < 0 || ::fstat(::fileno(f), &st) != 0 ||
+      st.st_size < position) {
+    return 0;
+  }
+  return static_cast<uint64_t>(st.st_size) - static_cast<uint64_t>(position);
+}
+
 }  // namespace
 
 util::Status SaveRoadNetwork(const graph::PlanarGraph& graph,
@@ -90,7 +104,9 @@ util::StatusOr<graph::PlanarGraph> LoadRoadNetwork(const std::string& path) {
     return util::InvalidArgumentError("not a road-network file: " + path);
   }
   if (!ReadValue(f, &num_nodes) || !ReadValue(f, &num_edges) ||
-      num_nodes > kMaxReasonableCount || num_edges > kMaxReasonableCount) {
+      num_nodes > kMaxReasonableCount || num_edges > kMaxReasonableCount ||
+      num_nodes * 2 * sizeof(double) + num_edges * 2 * sizeof(uint32_t) >
+          BytesLeft(f)) {
     return util::InvalidArgumentError("corrupt header: " + path);
   }
   std::vector<geometry::Point> positions(num_nodes);
@@ -168,14 +184,18 @@ util::StatusOr<std::vector<mobility::Trajectory>> LoadTrajectories(
   if (!ReadValue(f, &magic) || magic != kTrajMagic) {
     return util::InvalidArgumentError("not a trajectory file: " + path);
   }
-  if (!ReadValue(f, &count) || count > kMaxReasonableCount) {
+  // Each trip needs at least its 8-byte length field.
+  if (!ReadValue(f, &count) || count > kMaxReasonableCount ||
+      count * sizeof(uint64_t) > BytesLeft(f)) {
     return util::InvalidArgumentError("corrupt header: " + path);
   }
   std::vector<mobility::Trajectory> trajectories;
   trajectories.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t length = 0;
-    if (!ReadValue(f, &length) || length > kMaxReasonableCount) {
+    // Each point is a 4-byte node id and an 8-byte time.
+    if (!ReadValue(f, &length) || length > kMaxReasonableCount ||
+        length * (sizeof(uint32_t) + sizeof(double)) > BytesLeft(f)) {
       return util::InvalidArgumentError("corrupt trajectory header: " + path);
     }
     mobility::Trajectory t;
@@ -453,7 +473,9 @@ util::StatusOr<LoadedFrozenSnapshot> LoadFrozenSnapshot(
   if (!get_u64(&meta.generation) || !get_u64(&meta.covered_epoch) ||
       !get_u64(&meta.covered_events) || !get_u64(&num_slots) ||
       !get_u64(&total_events) || num_slots > kMaxReasonableCount ||
-      total_events > kMaxReasonableCount || num_slots % 2 != 0) {
+      total_events > kMaxReasonableCount || num_slots % 2 != 0 ||
+      (num_slots + 1 + total_events) * sizeof(uint64_t) + sizeof(uint32_t) >
+          BytesLeft(f)) {
     return util::InvalidArgumentError("corrupt snapshot header: " + path);
   }
   std::vector<uint64_t> offsets(num_slots + 1);

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/logging.h"
@@ -58,9 +59,12 @@ Histogram::Histogram(std::string name, std::vector<double> bounds,
 }
 
 void Histogram::Observe(double value) {
+  // Prometheus `le`: the first bound >= value; a NaN goes to +Inf.
   size_t bucket =
-      std::upper_bound(bounds_.begin(), bounds_.end(), value) -
-      bounds_.begin();
+      std::isnan(value)
+          ? bounds_.size()
+          : std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+                bounds_.begin();
   Cell& cell =
       *cells_[internal::ThreadCellIndex() & (internal::kMetricCells - 1)];
   cell.counts[bucket].fetch_add(1, std::memory_order_relaxed);

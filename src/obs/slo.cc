@@ -78,7 +78,9 @@ bool ParseSloConfig(const std::string& text,
     }
     ok = ok && !objective.name.empty() && !objective.metric.empty() &&
          objective.short_window_seconds > 0.0 &&
-         objective.long_window_seconds >= objective.short_window_seconds;
+         objective.long_window_seconds >= objective.short_window_seconds &&
+         objective.long_window_seconds <=
+             TimeSeriesCollector::kMaxWindowSeconds;
     if (!ok) {
       INNET_LOG(ERROR) << "slo config line " << line_number
                        << ": malformed objective: " << line;
@@ -114,6 +116,8 @@ SloEngine::SloEngine(MetricsRegistry& registry,
         "innet_slo_burning", labels,
         "1 while the named SLO breaches both burn-rate windows");
     state.gauge->Set(0.0);
+    collector_.RetainWindow(std::max(objective.short_window_seconds,
+                                     objective.long_window_seconds));
     state.objective = std::move(objective);
     states_.push_back(std::move(state));
   }

@@ -14,7 +14,8 @@
 // Config format (one objective per line, '#' comments):
 //   slo name=query_p95 metric=innet_query_latency_micros signal=p95
 //       threshold=5000 short=5 long=30   (single line in the file)
-// `short`/`long` are seconds. Signals: p50 | p95 | p99 | gauge | rate.
+// `short`/`long` are seconds, 0 < short <= long <= 3600. Signals: p50 |
+// p95 | p99 | gauge | rate.
 #ifndef INNET_OBS_SLO_H_
 #define INNET_OBS_SLO_H_
 
@@ -56,7 +57,8 @@ bool LoadSloConfigFile(const std::string& path,
 class SloEngine {
  public:
   /// Registers one latched `innet_slo_burning{slo=...}` gauge per
-  /// objective in the collector's registry (via `registry`).
+  /// objective in the collector's registry (via `registry`); the
+  /// collector retains each objective's long window.
   SloEngine(MetricsRegistry& registry, TimeSeriesCollector& collector,
             std::vector<SloObjective> objectives);
 

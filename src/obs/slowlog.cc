@@ -27,10 +27,8 @@ SlowQueryLog::SlowQueryLog(const SlowQueryLogOptions& options)
                        .GetCounter("innet_slowlog_suppressed_total",
                                    "Slow queries over the rate limit "
                                    "(record suppressed)")),
-      tokens_(static_cast<double>(options.burst)) {
+      tokens_(static_cast<double>(kBurst)) {
   INNET_CHECK(options_.threshold_micros > 0.0);
-  INNET_CHECK(options_.max_records_per_sec > 0.0);
-  INNET_CHECK(options_.burst > 0);
   if (!options_.path.empty()) {
     file_.open(options_.path, std::ios::out | std::ios::app);
     if (!file_) {
@@ -48,9 +46,8 @@ bool SlowQueryLog::Admit() {
   std::lock_guard<std::mutex> lock(mutex_);
   double elapsed = refill_timer_.ElapsedSeconds();
   refill_timer_.Restart();
-  tokens_ += elapsed * options_.max_records_per_sec;
-  double cap = static_cast<double>(options_.burst);
-  if (tokens_ > cap) tokens_ = cap;
+  tokens_ += elapsed * kMaxRecordsPerSec;
+  if (tokens_ > kBurst) tokens_ = kBurst;
   if (tokens_ < 1.0) {
     suppressed_->Increment();
     return false;
@@ -109,7 +106,7 @@ void SlowQueryLog::Record(const QueryCostProfile& profile,
   records_->Increment();
   std::lock_guard<std::mutex> lock(mutex_);
   ring_.push_back(line);
-  while (ring_.size() > options_.keep_last) ring_.pop_front();
+  while (ring_.size() > kKeepLast) ring_.pop_front();
   if (file_.is_open()) {
     file_ << line << "\n";
     file_.flush();

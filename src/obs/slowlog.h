@@ -1,12 +1,12 @@
 // Rate-limited structured slow-query log (docs/OBSERVABILITY.md §9).
 //
-// Queries whose total latency (or boundary size — a cost threshold for
-// catching "fast but enormous" regressions) crosses a pinned threshold
-// emit ONE JSON-lines record carrying the full cost profile and the
-// query's ExplainRecord. A token bucket bounds the emission rate, so a
-// pathological workload cannot turn the log into its own outage;
-// suppressed records are counted (`innet_slowlog_suppressed_total`)
-// instead of silently dropped.
+// Queries whose total latency crosses a pinned threshold emit ONE
+// JSON-lines record carrying the full cost profile and the query's
+// ExplainRecord. A token bucket (kBurst records back to back, refilled at
+// kMaxRecordsPerSec) bounds the emission rate, so a pathological workload
+// cannot turn the log into its own outage; suppressed records are counted
+// (`innet_slowlog_suppressed_total`) instead of silently dropped. The last
+// kKeepLast records stay in memory for /queryz?slow=1.
 //
 // Warm-path contract: IsSlow() is an inline threshold compare — the only
 // cost the 99.9% of fast queries pay. Admit() and Record() run only for
@@ -34,18 +34,6 @@ struct SlowQueryLogOptions {
   /// microseconds. Must be > 0.
   double threshold_micros = 10000.0;
 
-  /// Optional cost threshold: boundary_edges >= this also marks a query
-  /// slow. 0 disables the cost axis.
-  uint64_t threshold_boundary_edges = 0;
-
-  /// Token bucket: at most `burst` records back-to-back, refilling at
-  /// `max_records_per_sec`. Both must be > 0.
-  double max_records_per_sec = 10.0;
-  size_t burst = 20;
-
-  /// Most recent records retained in memory for /queryz?slow=1.
-  size_t keep_last = 64;
-
   /// JSON-lines output file, appended and flushed per record; "" keeps
   /// the log memory-only (the ring still fills).
   std::string path;
@@ -60,6 +48,11 @@ struct SlowQueryLogOptions {
 /// only, by construction).
 class SlowQueryLog {
  public:
+  /// Token bucket refill rate and size, and the in-memory ring's length.
+  static constexpr double kMaxRecordsPerSec = 10.0;
+  static constexpr size_t kBurst = 20;
+  static constexpr size_t kKeepLast = 64;
+
   explicit SlowQueryLog(const SlowQueryLogOptions& options);
   ~SlowQueryLog();
   SlowQueryLog(const SlowQueryLog&) = delete;
@@ -68,9 +61,7 @@ class SlowQueryLog {
   /// The warm-path gate: pure threshold compare, no locks, no side
   /// effects.
   bool IsSlow(const QueryCostProfile& profile) const {
-    return profile.total_nanos >= threshold_nanos_ ||
-           (options_.threshold_boundary_edges > 0 &&
-            profile.boundary_edges >= options_.threshold_boundary_edges);
+    return profile.total_nanos >= threshold_nanos_;
   }
 
   /// Charges the token bucket. True = caller should build the explain
@@ -89,8 +80,6 @@ class SlowQueryLog {
 
   uint64_t Records() const { return records_->Value(); }
   uint64_t Suppressed() const { return suppressed_->Value(); }
-
-  const SlowQueryLogOptions& options() const { return options_; }
 
  private:
   SlowQueryLogOptions options_;

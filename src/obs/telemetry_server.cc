@@ -26,6 +26,8 @@ namespace {
 #define MSG_NOSIGNAL 0
 #endif
 
+constexpr double kVarzRateWindowSeconds = 10.0;  // /varz rates_per_sec.
+
 std::string HttpResponse(int status, const char* reason,
                          const char* content_type,
                          const std::string& body) {
@@ -103,6 +105,11 @@ TelemetryServer::TelemetryServer(MetricsRegistry& registry,
 }
 
 TelemetryServer::~TelemetryServer() { Stop(); }
+
+void TelemetryServer::AttachCollector(TimeSeriesCollector* collector) {
+  collector_ = collector;
+  if (collector_ != nullptr) collector_->RetainWindow(kVarzRateWindowSeconds);
+}
 
 void TelemetryServer::AddReadinessProbe(const std::string& name,
                                         std::function<bool()> probe) {
@@ -344,7 +351,8 @@ std::string TelemetryServer::VarzBody() {
   if (collector_ != nullptr) {
     out += ",\"rates_per_sec\":{";
     first = true;
-    for (const auto& [name, rate] : collector_->AllCounterRates(10.0)) {
+    for (const auto& [name, rate] :
+         collector_->AllCounterRates(kVarzRateWindowSeconds)) {
       if (!first) out += ",";
       first = false;
       out += "\"";

@@ -67,10 +67,9 @@ class TelemetryServer {
   TelemetryServer(const TelemetryServer&) = delete;
   TelemetryServer& operator=(const TelemetryServer&) = delete;
 
-  /// Optional views; attach before Start(). Null detaches.
-  void AttachCollector(TimeSeriesCollector* collector) {
-    collector_ = collector;
-  }
+  /// Optional views; attach before Start(). Null detaches. The collector
+  /// retains the /varz rate window (10 s).
+  void AttachCollector(TimeSeriesCollector* collector);
   void AttachSloEngine(SloEngine* slo) { slo_ = slo; }
   void AttachTracer(Tracer* tracer) { tracer_ = tracer; }
   void AttachDigestTable(QueryDigestTable* digest) { digest_ = digest; }

@@ -1,18 +1,14 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 
 namespace innet::obs {
 
-TimeSeriesCollector::TimeSeriesCollector(MetricsRegistry& registry,
-                                         const TimeSeriesOptions& options)
-    : registry_(registry), options_(options),
-      start_(std::chrono::steady_clock::now()) {
-  INNET_CHECK(options_.window_slots >= 2);
-  INNET_CHECK(options_.period_ms >= 1);
-}
+TimeSeriesCollector::TimeSeriesCollector(MetricsRegistry& registry)
+    : registry_(registry), start_(std::chrono::steady_clock::now()) {}
 
 TimeSeriesCollector::~TimeSeriesCollector() { Stop(); }
 
@@ -30,9 +26,8 @@ void TimeSeriesCollector::Stop() {
 void TimeSeriesCollector::RunLoop() {
   while (running_.load(std::memory_order_relaxed)) {
     SampleNow();
-    // Sleep in small slices so Stop() returns promptly even with a long
-    // period configured.
-    uint64_t remaining = options_.period_ms;
+    // Sleep in small slices so Stop() returns promptly.
+    uint64_t remaining = kPeriodMillis;
     while (remaining > 0 && running_.load(std::memory_order_relaxed)) {
       uint64_t slice = std::min<uint64_t>(remaining, 20);
       std::this_thread::sleep_for(std::chrono::milliseconds(slice));
@@ -49,6 +44,19 @@ double TimeSeriesCollector::NowSeconds() const {
 
 void TimeSeriesCollector::SampleNow() { SampleAt(NowSeconds()); }
 
+void TimeSeriesCollector::RetainWindow(double window_seconds) {
+  INNET_CHECK(window_seconds >= 0.0 && window_seconds <= kMaxWindowSeconds);
+  size_t samples = static_cast<size_t>(std::ceil(
+                       window_seconds * 1000.0 / kPeriodMillis)) + 1;
+  std::lock_guard<std::mutex> lock(mutex_);
+  retained_ = std::max(retained_, samples);
+}
+
+void TimeSeriesCollector::Append(Ring& ring, TimeSeriesSample sample) {
+  ring.slots.push_back(std::move(sample));
+  while (ring.slots.size() > retained_) ring.slots.pop_front();
+}
+
 void TimeSeriesCollector::SampleAt(double now_seconds) {
   std::vector<std::function<void(double)>> listeners;
   {
@@ -61,10 +69,7 @@ void TimeSeriesCollector::SampleAt(double now_seconds) {
       TimeSeriesSample sample;
       sample.at_seconds = now_seconds;
       sample.value = static_cast<double>(counter->Value());
-      ring.slots.push_back(std::move(sample));
-      if (ring.slots.size() > options_.window_slots) {
-        ring.slots.erase(ring.slots.begin());
-      }
+      Append(ring, std::move(sample));
     }
     for (const Gauge* gauge : registry_.Gauges()) {
       // Label variants of one family share a base name; key the ring by
@@ -76,10 +81,7 @@ void TimeSeriesCollector::SampleAt(double now_seconds) {
       TimeSeriesSample sample;
       sample.at_seconds = now_seconds;
       sample.value = gauge->Value();
-      ring.slots.push_back(std::move(sample));
-      if (ring.slots.size() > options_.window_slots) {
-        ring.slots.erase(ring.slots.begin());
-      }
+      Append(ring, std::move(sample));
     }
     for (const Histogram* histogram : registry_.Histograms()) {
       Ring& ring = rings_[histogram->name()];
@@ -88,12 +90,7 @@ void TimeSeriesCollector::SampleAt(double now_seconds) {
       sample.at_seconds = now_seconds;
       sample.bucket_counts = histogram->BucketCounts();
       sample.value = histogram->Sum();
-      sample.count = 0;
-      for (uint64_t c : sample.bucket_counts) sample.count += c;
-      ring.slots.push_back(std::move(sample));
-      if (ring.slots.size() > options_.window_slots) {
-        ring.slots.erase(ring.slots.begin());
-      }
+      Append(ring, std::move(sample));
     }
     listeners = listeners_;
   }
@@ -122,7 +119,7 @@ std::vector<TimeSeriesSample> TimeSeriesCollector::Series(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = rings_.find(name);
   if (it == rings_.end()) return {};
-  return it->second.slots;
+  return {it->second.slots.begin(), it->second.slots.end()};
 }
 
 bool TimeSeriesCollector::WindowEdges(const Ring& ring,
@@ -161,13 +158,6 @@ double TimeSeriesCollector::CounterRate(const std::string& name,
   return (newest->value - oldest->value) / dt;
 }
 
-double TimeSeriesCollector::Last(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = rings_.find(name);
-  if (it == rings_.end() || it->second.slots.empty()) return 0.0;
-  return it->second.slots.back().value;
-}
-
 double TimeSeriesCollector::WindowedMax(const std::string& name,
                                         double window_seconds) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -182,17 +172,6 @@ double TimeSeriesCollector::WindowedMax(const std::string& name,
     any = true;
   }
   return any ? max_value : 0.0;
-}
-
-uint64_t TimeSeriesCollector::WindowedCount(const std::string& name,
-                                            double window_seconds) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = rings_.find(name);
-  if (it == rings_.end()) return 0;
-  const TimeSeriesSample* oldest = nullptr;
-  const TimeSeriesSample* newest = nullptr;
-  if (!WindowEdges(it->second, window_seconds, &oldest, &newest)) return 0;
-  return newest->count - oldest->count;
 }
 
 double TimeSeriesCollector::WindowedQuantile(const std::string& name,

@@ -2,13 +2,13 @@
 // (docs/OBSERVABILITY.md §Live telemetry & SLOs).
 //
 // Lifetime totals answer "how much, ever"; a live operator needs "how fast,
-// lately". The TimeSeriesCollector samples every registered metric on a
-// fixed period into per-metric rings of the last K samples: counters keep
-// cumulative values (rates derive from deltas), gauges keep instantaneous
-// values, histograms keep cumulative bucket counts + sum so WINDOWED
-// quantiles derive from bucket deltas between ring slots — the same
-// interpolation as Histogram::Percentile, restricted to recent
-// observations.
+// lately". The TimeSeriesCollector samples every registered metric every
+// kPeriodMillis into per-metric rings holding the longest window any
+// reader asked for (RetainWindow): counters keep cumulative values (rates
+// derive from deltas), gauges keep instantaneous values, histograms keep
+// cumulative bucket counts + sum so WINDOWED quantiles derive from bucket
+// deltas between ring slots — the same interpolation as
+// Histogram::Percentile, restricted to recent observations.
 //
 // Sampling runs either on a background thread (Start/Stop) or manually via
 // SampleNow(), which tests and single-threaded tools use for determinism.
@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <utility>
 #include <map>
@@ -40,22 +41,16 @@ struct TimeSeriesSample {
   double value = 0.0;
   /// Histogram only: cumulative per-bucket counts (bounds + overflow).
   std::vector<uint64_t> bucket_counts;
-  /// Histogram only: cumulative observation count.
-  uint64_t count = 0;
 };
 
-struct TimeSeriesOptions {
-  /// Background sampling period.
-  uint64_t period_ms = 250;
-  /// Ring slots retained per metric.
-  size_t window_slots = 64;
-};
-
-/// Samples a MetricsRegistry into fixed-size rolling rings.
+/// Samples a MetricsRegistry into rolling rings sized by their readers.
 class TimeSeriesCollector {
  public:
-  TimeSeriesCollector(MetricsRegistry& registry,
-                      const TimeSeriesOptions& options);
+  static constexpr uint64_t kPeriodMillis = 250;
+  /// Longest window a ring holds: 14401 samples per metric.
+  static constexpr double kMaxWindowSeconds = 3600.0;
+
+  explicit TimeSeriesCollector(MetricsRegistry& registry);
   ~TimeSeriesCollector();
 
   TimeSeriesCollector(const TimeSeriesCollector&) = delete;
@@ -68,9 +63,16 @@ class TimeSeriesCollector {
   void Stop();
 
   /// Takes one sample of every registered metric right now (also refreshes
-  /// derived gauges). The background thread calls this on its period;
-  /// tests call it directly with hand-picked timestamps.
+  /// derived gauges), stamped with NowSeconds(). The background thread
+  /// calls this every kPeriodMillis; tests and single-threaded tools call
+  /// it directly.
   void SampleNow();
+
+  /// Grows every ring to ceil(window / period) + 1 samples; rings start
+  /// at 2 (one delta) and never shrink. Each reader calls it for the
+  /// longest window it reads: TelemetryServer::AttachCollector for /varz,
+  /// SloEngine per objective. `window_seconds` is in [0, kMaxWindowSeconds].
+  void RetainWindow(double window_seconds);
 
   /// Registers a gauge whose value is recomputed from `fn(now_seconds)` at
   /// the START of every sample tick, before metrics are read — e.g.
@@ -93,16 +95,8 @@ class TimeSeriesCollector {
   /// window). 0 with fewer than two samples.
   double CounterRate(const std::string& name, double window_seconds) const;
 
-  /// Newest sampled value of gauge or counter `name`; 0 if never sampled.
-  double Last(const std::string& name) const;
-
   /// Maximum sampled value of `name` inside the window.
   double WindowedMax(const std::string& name, double window_seconds) const;
-
-  /// Observations histogram `name` absorbed during the window (count
-  /// delta).
-  uint64_t WindowedCount(const std::string& name,
-                         double window_seconds) const;
 
   /// Quantile of histogram `name` over only the observations inside the
   /// last `window_seconds` (bucket-count deltas between the window's edge
@@ -123,15 +117,15 @@ class TimeSeriesCollector {
     return samples_taken_.load(std::memory_order_relaxed);
   }
 
-  const TimeSeriesOptions& options() const { return options_; }
-
  private:
   struct Ring {
-    std::vector<TimeSeriesSample> slots;  // oldest first
-    std::vector<double> bounds;           // histograms only
+    std::deque<TimeSeriesSample> slots;  // oldest first
+    std::vector<double> bounds;          // histograms only
   };
 
   void SampleAt(double now_seconds);
+  /// Appends `sample` to `ring`, dropping the oldest beyond retained_.
+  void Append(Ring& ring, TimeSeriesSample sample);
   /// Edge samples of the window: newest, and oldest still inside it.
   /// Returns false with fewer than two samples.
   bool WindowEdges(const Ring& ring, double window_seconds,
@@ -140,10 +134,10 @@ class TimeSeriesCollector {
   void RunLoop();
 
   MetricsRegistry& registry_;
-  TimeSeriesOptions options_;
   std::chrono::steady_clock::time_point start_;
 
   mutable std::mutex mutex_;
+  size_t retained_ = 2;
   std::map<std::string, Ring> rings_;
   std::vector<std::pair<Gauge*, std::function<double(double)>>> derived_;
   std::vector<std::function<void(double)>> listeners_;

@@ -52,11 +52,11 @@ BatchQueryEngine::BatchQueryEngine(core::AnswerCore core,
           "innet_query_latency_micros",
           obs::Histogram::LatencyBoundsMicros(),
           "Per-query evaluation latency in microseconds")),
-      cache_(options.cache_capacity, options.cache_shards,
-             &registry_->GetCounter("innet_cache_hits",
-                                    "Boundary-cache lookup hits"),
-             &registry_->GetCounter("innet_cache_misses",
-                                    "Boundary-cache lookup misses")),
+      cache_(options.cache_capacity,
+             registry_->GetCounter("innet_cache_hits",
+                                   "Boundary-cache lookup hits"),
+             registry_->GetCounter("innet_cache_misses",
+                                   "Boundary-cache lookup misses")),
       pool_(options.num_threads) {
   digest_ = options.digest;
   slowlog_ = options.slowlog;

@@ -47,11 +47,9 @@ struct BatchEngineOptions {
   /// Worker threads; 0 means serial execution on the calling thread.
   size_t num_threads = 0;
 
-  /// Total boundary-cache entries across all shards; 0 disables caching.
+  /// Total boundary-cache entries, split over up to
+  /// BoundaryCache::kMaxShards lock shards; 0 disables caching.
   size_t cache_capacity = 4096;
-
-  /// Lock shards of the boundary cache.
-  size_t cache_shards = 16;
 
   /// Optional health view (docs/FAULTS.md). When set, queries whose
   /// boundary touches edges owned by failed sensors are answered in

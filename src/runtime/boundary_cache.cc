@@ -38,28 +38,22 @@ RegionSignature SignRegion(const std::vector<graph::NodeId>& junctions,
   return {lo, SplitMix64(hi)};
 }
 
-BoundaryCache::BoundaryCache(size_t capacity, size_t shards,
-                             obs::Counter* hits, obs::Counter* misses)
-    : per_shard_capacity_(0),
-      shards_(std::max<size_t>(1, shards)),
-      hits_(hits),
-      misses_(misses) {
-  if (capacity > 0) {
-    per_shard_capacity_ = (capacity + shards_.size() - 1) / shards_.size();
-  }
-  if (hits_ == nullptr) {
-    owned_hits_ = std::make_unique<obs::Counter>("cache_hits");
-    hits_ = owned_hits_.get();
-  }
-  if (misses_ == nullptr) {
-    owned_misses_ = std::make_unique<obs::Counter>("cache_misses");
-    misses_ = owned_misses_.get();
+BoundaryCache::BoundaryCache(size_t capacity, obs::Counter& hits,
+                             obs::Counter& misses)
+    : capacity_(capacity),
+      shards_(std::clamp<size_t>(capacity, 1, kMaxShards)),
+      hits_(&hits),
+      misses_(&misses) {
+  // The first capacity % shards shards take one entry more than the rest.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i].capacity = capacity / shards_.size() +
+                          (i < capacity % shards_.size() ? 1 : 0);
   }
 }
 
 std::shared_ptr<const core::ResolvedRegion> BoundaryCache::Lookup(
     const RegionSignature& key) {
-  if (per_shard_capacity_ == 0) {
+  if (capacity_ == 0) {
     misses_->Increment();
     return nullptr;
   }
@@ -77,7 +71,7 @@ std::shared_ptr<const core::ResolvedRegion> BoundaryCache::Lookup(
 
 void BoundaryCache::Insert(const RegionSignature& key,
                            std::shared_ptr<const core::ResolvedRegion> value) {
-  if (per_shard_capacity_ == 0) return;
+  if (capacity_ == 0) return;
   INNET_CHECK(value != nullptr);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -89,7 +83,7 @@ void BoundaryCache::Insert(const RegionSignature& key,
   }
   shard.lru.push_front({key, std::move(value)});
   shard.index[key] = shard.lru.begin();
-  if (shard.lru.size() > per_shard_capacity_) {
+  if (shard.lru.size() > shard.capacity) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
   }

@@ -55,16 +55,18 @@ RegionSignature SignRegion(const std::vector<graph::NodeId>& junctions,
 /// Sharded LRU map from RegionSignature to core::ResolvedRegion.
 class BoundaryCache {
  public:
-  /// `capacity` entries total across `shards` shards (each shard holds
-  /// ceil(capacity / shards)). `capacity == 0` disables the cache: Lookup
-  /// always misses and Insert is a no-op.
+  /// Most lock shards a cache splits into.
+  static constexpr size_t kMaxShards = 16;
+
+  /// `capacity` entries total, split over min(kMaxShards, capacity) shards
+  /// whose capacities sum exactly to `capacity`, so the cache never holds
+  /// more. `capacity == 0` disables the cache: Lookup always misses and
+  /// Insert is a no-op.
   ///
-  /// `hits`/`misses` are the counters the cache increments — typically
-  /// registry-backed (`innet_cache_hits`/`innet_cache_misses`) so hit
-  /// rates export without extra plumbing. When null the cache owns
-  /// private, unexported counters. Must outlive the cache when provided.
-  BoundaryCache(size_t capacity, size_t shards,
-                obs::Counter* hits = nullptr, obs::Counter* misses = nullptr);
+  /// `hits`/`misses` are the counters the cache increments — registry
+  /// counters (`innet_cache_hits`/`innet_cache_misses`), so hit rates
+  /// export without extra plumbing. Both must outlive the cache.
+  BoundaryCache(size_t capacity, obs::Counter& hits, obs::Counter& misses);
 
   /// Returns the cached boundary and refreshes its recency, or nullptr.
   std::shared_ptr<const core::ResolvedRegion> Lookup(
@@ -102,6 +104,7 @@ class BoundaryCache {
   };
   struct Shard {
     mutable std::mutex mutex;
+    size_t capacity = 0;
     // Front = most recently used.
     std::list<Entry> lru;
     std::unordered_map<RegionSignature, std::list<Entry>::iterator,
@@ -113,11 +116,8 @@ class BoundaryCache {
     return shards_[key.hi % shards_.size()];
   }
 
-  size_t per_shard_capacity_;
+  size_t capacity_;
   std::vector<Shard> shards_;
-  // Fallbacks owned when the caller supplies no registry counters.
-  std::unique_ptr<obs::Counter> owned_hits_;
-  std::unique_ptr<obs::Counter> owned_misses_;
   obs::Counter* hits_;
   obs::Counter* misses_;
 };

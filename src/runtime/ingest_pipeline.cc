@@ -72,8 +72,6 @@ forms::FrozenTrackingForm SealRun(
 IngestPipeline::IngestPipeline(size_t num_edges, IngestPipelineOptions options)
     : num_edges_(num_edges),
       epoch_event_target_(options.epoch_event_target),
-      max_buffered_events_(options.max_buffered_events),
-      overload_policy_(options.overload_policy),
       durability_(options.durability),
       seal_worker_(options.durability.wal_dir.empty() ? 0 : 1) {
   size_t shards = RoundUpPow2(std::max<size_t>(1, options.shards));
@@ -89,12 +87,6 @@ IngestPipeline::IngestPipeline(size_t num_edges, IngestPipelineOptions options)
       "innet_ingest_events_total", "Crossing events accepted by Push()");
   epochs_counter_ = &registry.GetCounter(
       "innet_ingest_epochs_total", "Epochs that published a new store");
-  shed_counter_ = &registry.GetCounter(
-      "innet_ingest_shed_total",
-      "Buffered events dropped by OverloadPolicy::kShedOldest");
-  rejected_counter_ = &registry.GetCounter(
-      "innet_ingest_rejected_total",
-      "Pushes refused by OverloadPolicy::kReject");
   wal_errors_counter_ = &registry.GetCounter(
       "innet_wal_errors_total",
       "WAL I/O failures (durability disabled after the first)");
@@ -113,15 +105,9 @@ IngestPipeline::IngestPipeline(size_t num_edges, IngestPipelineOptions options)
       "innet_store_runs", "Sealed runs in the published store generation");
   epoch_events_gauge_ = &registry.GetGauge(
       "innet_ingest_epoch_events", "Events in the most recent published epoch");
-  buffered_events_gauge_ = &registry.GetGauge(
-      "innet_ingest_buffered_events",
-      "Events currently buffered awaiting the freezer (tracked only when "
-      "max_buffered_events bounds the buffers)");
 
   if (!durability_.wal_dir.empty()) {
-    io::EventLogOptions log_options;
-    log_options.segment_bytes = durability_.segment_bytes;
-    log_options.fsync_on_commit = durability_.fsync;
+    io::EventLogOptions log_options;  // 8 MiB segments, fsync per commit.
     log_options.registry = options.registry;
     util::StatusOr<std::unique_ptr<io::EventLogWriter>> writer =
         io::EventLogWriter::Open(durability_.wal_dir, log_options);
@@ -177,96 +163,15 @@ IngestPipeline::~IngestPipeline() {
   merger_.join();
 }
 
-void IngestPipeline::RecordLost(double time, bool rejected) {
-  (rejected ? rejected_counter_ : shed_counter_)->Increment();
-  std::lock_guard<std::mutex> lock(overload_mutex_);
-  if (rejected) {
-    ++overload_.rejected_events;
-  } else {
-    ++overload_.shed_events;
-  }
-  overload_.lost_min_time = std::min(overload_.lost_min_time, time);
-  overload_.lost_max_time = std::max(overload_.lost_max_time, time);
-}
-
-IngestOverloadReport IngestPipeline::overload() const {
-  std::lock_guard<std::mutex> lock(overload_mutex_);
-  return overload_;
-}
-
-core::DegradedOptions IngestPipeline::OverloadDegradedOptions(
-    core::DegradedOptions base) const {
-  IngestOverloadReport report = overload();
-  uint64_t lost = report.Lost();
-  if (lost == 0) return base;
-  double accepted =
-      static_cast<double>(events_total_.load(std::memory_order_relaxed));
-  double rate =
-      static_cast<double>(lost) / (accepted + static_cast<double>(lost));
-  base.drop_rate_bound = std::max(base.drop_rate_bound, rate);
-  return base;
-}
-
-PushResult IngestPipeline::Push(const mobility::CrossingEvent& event) {
+void IngestPipeline::Push(const mobility::CrossingEvent& event) {
   INNET_DCHECK(event.edge < num_edges_);
   Shard& shard = *shards_[static_cast<size_t>(event.edge) & shard_mask_];
-  PushResult result = PushResult::kAccepted;
-
-  if (max_buffered_events_ != 0 &&
-      buffered_events_.load(std::memory_order_relaxed) >=
-          max_buffered_events_) {
-    switch (overload_policy_) {
-      case OverloadPolicy::kReject:
-        RecordLost(event.time, /*rejected=*/true);
-        return PushResult::kRejected;
-      case OverloadPolicy::kShedOldest: {
-        // Make room by dropping the oldest buffered event of this shard
-        // (per-slot order is restored by the freezer's sort, so position
-        // within the buffer does not matter — age does).
-        std::unique_lock<std::mutex> lock(shard.mutex);
-        if (!shard.events.empty()) {
-          double lost_time = shard.events.front().time;
-          shard.events.erase(shard.events.begin());
-          lock.unlock();
-          buffered_events_.fetch_sub(1, std::memory_order_relaxed);
-          RecordLost(lost_time, /*rejected=*/false);
-          result = PushResult::kShedOldest;
-        }
-        break;
-      }
-      case OverloadPolicy::kBlock: {
-        // Ask the freezer to drain and wait until it has. The close request
-        // coalesces with any outstanding one; the freezer notifies
-        // state_cv_ after snipping the buffers.
-        std::unique_lock<std::mutex> lock(state_mutex_);
-        ++requested_;
-        state_cv_.notify_all();
-        state_cv_.wait(lock, [&] {
-          return buffered_events_.load(std::memory_order_relaxed) <
-                     max_buffered_events_ ||
-                 stopping_;
-        });
-        break;
-      }
-    }
-  }
-
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     // The clock is read once per shard and epoch: by the push that opens
-    // the buffer, whose event is the oldest the buffer will hand over (or,
-    // after a shed of the front event, the oldest it ever held). A shed
-    // that left the buffer empty lands here too and re-arms the clock.
+    // the buffer, whose event is the oldest the buffer will hand over.
     if (shard.events.empty()) shard.first_push_micros = SteadyMicros();
     shard.events.push_back(event);
-  }
-  // Occupancy is only tracked when a bound is set — the unbounded hot path
-  // skips the shared read-modify-write (and the gauge, which would be the
-  // same RMW in disguise).
-  if (max_buffered_events_ != 0) {
-    uint64_t buffered =
-        buffered_events_.fetch_add(1, std::memory_order_relaxed) + 1;
-    buffered_events_gauge_->Set(static_cast<double>(buffered));
   }
   events_total_.fetch_add(1, std::memory_order_relaxed);
   events_counter_->Increment();
@@ -278,7 +183,6 @@ PushResult IngestPipeline::Push(const mobility::CrossingEvent& event) {
       CloseEpoch();
     }
   }
-  return result;
 }
 
 uint64_t IngestPipeline::CloseEpoch() {
@@ -424,16 +328,6 @@ bool IngestPipeline::PublishEpoch() {
     recycle();
     return false;
   }
-  if (max_buffered_events_ != 0) {
-    uint64_t remaining =
-        buffered_events_.fetch_sub(total, std::memory_order_relaxed) - total;
-    buffered_events_gauge_->Set(static_cast<double>(remaining));
-    // Wake kBlock pushers; the lock pairs with their predicate check so the
-    // notify cannot slip between check and sleep.
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    state_cv_.notify_all();
-  }
-
   // The epoch becomes its own run, sealed in O(epoch + slots) whatever the
   // stored history, on the seal worker while this thread commits the epoch
   // below; both only read `taken`.

@@ -46,13 +46,15 @@
 // generation a reader ever observed is recoverable after a crash
 // (runtime/recovery.h); the seal worker builds the epoch's run meanwhile,
 // and the freezer waits for it only after the fsync returned. Periodic
-// snapshots (io/serialize.h) keep recovery to a short tail replay.
+// snapshots (io/serialize.h) keep recovery to a short tail replay. The
+// WAL rotates segments at 8 MiB (io::EventLogOptions' default) and fsyncs
+// every commit.
 //
-// Backpressure (optional, max_buffered_events): when the in-memory shard
-// buffers hold that many events, Push() applies OverloadPolicy — block
-// until the freezer drains, shed the oldest buffered event, or reject the
-// new one. Lost events are accounted in overload() and can widen query
-// intervals through the degraded-mode machinery (OverloadDegradedOptions).
+// No backpressure: Push() never waits for the freezer and never drops an
+// event, so the published store records every crossing pushed — the
+// condition under which its answers are lower and upper bounds. The shard
+// buffers hold whatever was pushed since the last snip; producers bound
+// them by closing epochs (epoch_event_target or CloseEpoch()).
 //
 // Reclamation: superseded generations and runs die when the last reader
 // snapshot referencing them drops (shared_ptr refcount; see
@@ -63,7 +65,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -73,7 +74,6 @@
 #include <vector>
 
 #include "core/event_buffer.h"
-#include "core/health.h"
 #include "forms/store_handle.h"
 #include "io/event_log.h"
 #include "mobility/trajectory.h"
@@ -81,27 +81,6 @@
 #include "util/thread_pool.h"
 
 namespace innet::runtime {
-
-/// What Push() does once the in-memory buffers hold
-/// IngestPipelineOptions::max_buffered_events events.
-enum class OverloadPolicy {
-  /// Request an epoch close and block the pusher until the freezer drains.
-  /// No events are lost; producers feel the backpressure.
-  kBlock,
-  /// Drop the oldest buffered event of the incoming event's shard to make
-  /// room. Bounded memory, freshest data wins; losses are accounted.
-  kShedOldest,
-  /// Refuse the incoming event. Bounded memory, history wins.
-  kReject,
-};
-
-/// Outcome of one Push() under backpressure (always kAccepted when
-/// max_buffered_events is 0).
-enum class PushResult {
-  kAccepted,   ///< Buffered (for kShedOldest: an older event was dropped).
-  kShedOldest, ///< Buffered, and the shard's oldest event was shed for it.
-  kRejected,   ///< Not buffered (kReject policy at capacity).
-};
 
 /// Durability knobs. Active when `wal_dir` is non-empty: the pipeline
 /// opens (or resumes) a WAL there and epochs become durable on publish.
@@ -113,22 +92,6 @@ struct IngestDurability {
   /// published epochs so recovery replays only a short WAL tail. 0 = never
   /// snapshot; recovery then replays the whole log.
   size_t snapshot_every_epochs = 0;
-  /// WAL segment rotation threshold (io::EventLogOptions::segment_bytes).
-  size_t segment_bytes = 8u << 20;
-  /// fsync each epoch commit (io::EventLogOptions::fsync_on_commit).
-  bool fsync = true;
-};
-
-/// Overload losses so far (see OverloadPolicy). The lost-time bounds tell
-/// the degraded machinery WHICH part of the timeline is untrustworthy.
-struct IngestOverloadReport {
-  uint64_t shed_events = 0;      ///< Oldest-dropped under kShedOldest.
-  uint64_t rejected_events = 0;  ///< Refused under kReject.
-  /// Timestamp range of lost events (min > max when nothing was lost).
-  double lost_min_time = std::numeric_limits<double>::infinity();
-  double lost_max_time = -std::numeric_limits<double>::infinity();
-
-  uint64_t Lost() const { return shed_events + rejected_events; }
 };
 
 /// IngestPipeline construction knobs.
@@ -139,11 +102,6 @@ struct IngestPipelineOptions {
   /// Auto-close an epoch once this many events have been buffered since
   /// the last close. 0 = epochs close only on explicit CloseEpoch().
   size_t epoch_event_target = 0;
-  /// Bound on events held in shard buffers before OverloadPolicy applies.
-  /// 0 = unbounded (no backpressure).
-  size_t max_buffered_events = 0;
-  /// Behavior at the max_buffered_events bound.
-  OverloadPolicy overload_policy = OverloadPolicy::kBlock;
   /// Durability; see IngestDurability.
   IngestDurability durability;
   /// Recovery seeding (runtime::RecoveryManager::Resume): when set, the
@@ -192,10 +150,9 @@ class IngestPipeline {
   /// BatchQueryEngine handle-mode constructors).
   const forms::FrozenStoreHandle& handle() const { return handle_; }
 
-  /// Buffers one in-order crossing event. Thread-safe. The return value
-  /// reports the backpressure outcome; without max_buffered_events it is
-  /// always kAccepted and callers may ignore it.
-  PushResult Push(const mobility::CrossingEvent& event);
+  /// Buffers one in-order crossing event. Thread-safe; never blocks on
+  /// the freezer and never drops the event.
+  void Push(const mobility::CrossingEvent& event);
 
   /// Adapter for EventReorderBuffer: the buffer reorders, the pipeline
   /// ingests whatever the buffer releases.
@@ -227,8 +184,7 @@ class IngestPipeline {
   /// in the WAL.
   void CloseEpochAndWait() { WaitForTicket(CloseEpoch()); }
 
-  /// Events accepted by Push() so far (excludes rejected; includes events
-  /// later shed by kShedOldest).
+  /// Events pushed so far.
   uint64_t EventsIngested() const {
     return events_total_.load(std::memory_order_relaxed);
   }
@@ -239,24 +195,12 @@ class IngestPipeline {
     return epochs_published_.load(std::memory_order_relaxed);
   }
 
-  /// Overload losses so far. Thread-safe snapshot.
-  IngestOverloadReport overload() const;
-
   /// Seconds since the last store publish (construction counts as a
   /// publish). This is the serving staleness a /readyz probe or the
   /// `innet_refreeze_staleness_seconds` derived gauge reports: a healthy
   /// live pipeline keeps it near its epoch cadence, a wedged freezer lets
   /// it grow without bound.
   double SecondsSinceLastPublish() const;
-
-  /// Folds overload losses into degraded-mode options: lost events are
-  /// indistinguishable from healthy-sensor message loss, so the loss
-  /// fraction lost/(accepted+lost) raises DegradedOptions::drop_rate_bound
-  /// and every interval served from this store widens accordingly
-  /// (core::AnswerCore::Answer). Returns `base` unchanged when
-  /// nothing was lost.
-  core::DegradedOptions OverloadDegradedOptions(
-      core::DegradedOptions base = {}) const;
 
  private:
   /// The merge rule: merge the newest adjacent pair of runs whose older
@@ -267,10 +211,7 @@ class IngestPipeline {
     std::mutex mutex;
     std::vector<mobility::CrossingEvent> events;
     /// Steady-clock micros of the push that found `events` empty: the
-    /// oldest push of the shard's share of the next epoch. kShedOldest
-    /// leaves it alone when it drops the front event, so under shedding it
-    /// is the first push the shard buffered, an upper bound on the age of
-    /// what it publishes; a shed that empties the buffer re-arms it.
+    /// oldest push of the shard's share of the next epoch.
     int64_t first_push_micros = 0;
   };
   /// A merge the merge thread finished: `merged` replaces the adjacent
@@ -299,14 +240,10 @@ class IngestPipeline {
   /// true when there was one. The freezer clears it once the generation
   /// holding it is published.
   bool ApplyFinishedMerge(std::vector<forms::FrozenRuns::Run>* runs);
-  /// Records one lost event in the overload report.
-  void RecordLost(double time, bool rejected);
 
   size_t num_edges_;
   size_t shard_mask_;
   size_t epoch_event_target_;
-  size_t max_buffered_events_;
-  OverloadPolicy overload_policy_;
   IngestDurability durability_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// The buffers the freezer snipped last epoch, cleared: the next snip
@@ -317,7 +254,6 @@ class IngestPipeline {
   std::atomic<uint64_t> events_total_{0};
   std::atomic<uint64_t> epochs_published_{0};
   std::atomic<uint64_t> pending_since_close_{0};
-  std::atomic<uint64_t> buffered_events_{0};
   /// Steady-clock micros of the last publish (see SecondsSinceLastPublish).
   std::atomic<int64_t> last_publish_micros_{0};
 
@@ -328,10 +264,6 @@ class IngestPipeline {
   /// Seals each epoch's run while the freezer commits it: one worker when
   /// a WAL is configured, serial (the freezer seals inline) otherwise.
   util::ThreadPool seal_worker_;
-
-  // Overload accounting.
-  mutable std::mutex overload_mutex_;
-  IngestOverloadReport overload_;
 
   // Freezer coordination: requested_/published_ are close tickets.
   std::mutex state_mutex_;
@@ -353,15 +285,12 @@ class IngestPipeline {
 
   obs::Counter* events_counter_;
   obs::Counter* epochs_counter_;
-  obs::Counter* shed_counter_;
-  obs::Counter* rejected_counter_;
   obs::Counter* wal_errors_counter_;
   obs::Histogram* refreeze_micros_;
   obs::Histogram* visibility_lag_micros_;
   obs::Gauge* generation_gauge_;
   obs::Gauge* runs_gauge_;
   obs::Gauge* epoch_events_gauge_;
-  obs::Gauge* buffered_events_gauge_;
 };
 
 }  // namespace innet::runtime

@@ -70,7 +70,7 @@ class RecoveryManager {
   /// Recover() + a pipeline resumed from the result: it serves the
   /// recovered store immediately and appends new epochs to the same WAL.
   /// `pipeline_options.durability.wal_dir` and resume fields are filled in
-  /// here; everything else (shards, backpressure, snapshot cadence,
+  /// here; everything else (shards, epoch target, snapshot cadence,
   /// registry) is taken from the caller. When `state_out` is non-null the
   /// recovered state is copied there.
   util::StatusOr<std::unique_ptr<IngestPipeline>> Resume(

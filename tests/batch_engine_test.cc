@@ -419,13 +419,29 @@ TEST_F(BatchEngineFixture, TinyCacheEvictsButStaysCorrect) {
   BatchEngineOptions options;
   options.num_threads = 2;
   options.cache_capacity = 4;  // Far fewer entries than distinct regions.
-  options.cache_shards = 2;
   BatchQueryEngine engine(deployment_->graph(), deployment_->store(),
                           options);
   ExpectIdentical(
       engine.AnswerBatch(queries_, CountKind::kStatic, BoundMode::kLower),
       SerialReference(CountKind::kStatic, BoundMode::kLower));
   EXPECT_LE(engine.CacheSize(), 4u);
+}
+
+// The shard count follows the capacity (at most kMaxShards), and the
+// shards' capacities sum to it exactly: however many distinct regions
+// arrive, the cache fills to its capacity and never past it.
+TEST(BoundaryCacheTest, NeverHoldsMoreThanItsCapacity) {
+  for (size_t capacity : {size_t{1}, size_t{4}, size_t{17}, size_t{100}}) {
+    obs::MetricsRegistry registry;
+    BoundaryCache cache(capacity, registry.GetCounter("hits"),
+                        registry.GetCounter("misses"));
+    auto region = std::make_shared<const core::ResolvedRegion>();
+    for (graph::NodeId n = 0; n < 5000; ++n) {
+      cache.Insert(SignRegion({n}, BoundMode::kLower), region);
+      ASSERT_LE(cache.Size(), capacity) << "after " << n + 1 << " inserts";
+    }
+    EXPECT_EQ(cache.Size(), capacity);
+  }
 }
 
 TEST(RegionSignatureTest, DistinguishesRegionsAndBounds) {

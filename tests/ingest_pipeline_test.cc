@@ -600,120 +600,35 @@ TEST(IngestPipelineTest, SinkOutlivedByPipelineUnderConcurrentFlush) {
   pipeline.reset();  // ...then the pipeline. The only safe order.
 }
 
-// ---- backpressure ---------------------------------------------------------
+// ---- freshness -------------------------------------------------------------
 
-TEST(IngestPipelineTest, BlockPolicyLosesNothingAndBoundsTheBuffer) {
-  const size_t kNumEdges = 8;
-  std::vector<CrossingEvent> stream = RandomStream(52, kNumEdges, 3000);
-  TrackingForm reference(kNumEdges);
-  for (const CrossingEvent& e : stream) {
-    reference.RecordTraversal(e.edge, e.forward, e.time);
-  }
-  IngestPipelineOptions options;
-  options.max_buffered_events = 64;
-  options.overload_policy = OverloadPolicy::kBlock;
-  IngestPipeline pipeline(kNumEdges, options);
-  for (const CrossingEvent& e : stream) {
-    EXPECT_EQ(pipeline.Push(e), PushResult::kAccepted);
-  }
-  pipeline.CloseEpochAndWait();
-  EXPECT_EQ(pipeline.overload().Lost(), 0u);
-  EXPECT_EQ(pipeline.EventsIngested(), stream.size());
-  forms::FrozenStoreHandle::Snapshot snap = pipeline.handle().Acquire();
-  ExpectBitIdentical(*snap.store, reference);  // Backpressure, zero loss.
-}
-
-TEST(IngestPipelineTest, RejectPolicyRefusesAtCapacityAndAccounts) {
-  IngestPipelineOptions options;
-  options.shards = 1;
-  options.max_buffered_events = 10;
-  options.overload_policy = OverloadPolicy::kReject;
-  IngestPipeline pipeline(4, options);
-  size_t accepted = 0;
-  size_t rejected = 0;
-  for (int i = 0; i < 25; ++i) {
-    PushResult r = pipeline.Push({0, true, static_cast<double>(i)});
-    (r == PushResult::kAccepted ? accepted : rejected)++;
-  }
-  EXPECT_EQ(accepted, 10u);
-  EXPECT_EQ(rejected, 15u);
-  IngestOverloadReport report = pipeline.overload();
-  EXPECT_EQ(report.rejected_events, 15u);
-  EXPECT_EQ(report.shed_events, 0u);
-  // Rejections start at t=10 (the first refused push) and run to t=24.
-  EXPECT_EQ(report.lost_min_time, 10.0);
-  EXPECT_EQ(report.lost_max_time, 24.0);
-  EXPECT_EQ(pipeline.EventsIngested(), 10u);
-  // After a drain the pipeline accepts again.
-  pipeline.CloseEpochAndWait();
-  EXPECT_EQ(pipeline.Push({0, true, 99.0}), PushResult::kAccepted);
-
-  // Losses surface as a degraded-mode drop-rate bound: 15 lost out of 26
-  // offered (10 + 15 + the post-drain accept).
-  core::DegradedOptions degraded = pipeline.OverloadDegradedOptions();
-  EXPECT_NEAR(degraded.drop_rate_bound, 15.0 / 26.0, 1e-12);
-  // An existing (larger) bound is never weakened.
-  core::DegradedOptions strict;
-  strict.drop_rate_bound = 0.9;
-  EXPECT_EQ(pipeline.OverloadDegradedOptions(strict).drop_rate_bound, 0.9);
-}
-
-TEST(IngestPipelineTest, ShedOldestDropsHistoryKeepsFreshest) {
-  IngestPipelineOptions options;
-  options.shards = 1;
-  options.max_buffered_events = 8;
-  options.overload_policy = OverloadPolicy::kShedOldest;
-  IngestPipeline pipeline(4, options);
-  for (int i = 0; i < 20; ++i) {
-    PushResult r = pipeline.Push({0, true, static_cast<double>(i)});
-    if (i < 8) {
-      EXPECT_EQ(r, PushResult::kAccepted);
-    } else {
-      EXPECT_EQ(r, PushResult::kShedOldest);
-    }
-  }
-  IngestOverloadReport report = pipeline.overload();
-  EXPECT_EQ(report.shed_events, 12u);
-  EXPECT_EQ(report.lost_min_time, 0.0);   // Oldest go first...
-  EXPECT_EQ(report.lost_max_time, 11.0);  // ...newest survive.
-  pipeline.CloseEpochAndWait();
-  forms::FrozenStoreHandle::Snapshot snap = pipeline.handle().Acquire();
-  ASSERT_EQ(snap.store->EventCount(0, true), 8u);
-  // The buffer holds exactly the 8 freshest events: 12..19.
-  EXPECT_EQ(snap.store->CountUpTo(0, true, 11.5), 0u);
-  EXPECT_EQ(snap.store->CountUpTo(0, true, 19.5), 8u);
-}
-
-// innet_ingest_visibility_lag_micros under kShedOldest: a shed that
-// empties the shard buffer re-arms the clock, so the lag measures from the
-// surviving push; a shed that leaves older events behind keeps the first
-// push the shard buffered (the documented upper bound).
-TEST(IngestPipelineTest, ShedOldestVisibilityLagReArmsOnAnEmptiedBuffer) {
+// innet_ingest_visibility_lag_micros measures from the oldest push of the
+// epoch it publishes, and each epoch restarts that clock.
+TEST(IngestPipelineTest, VisibilityLagRunsFromTheEpochsOldestPush) {
   const auto kPause = std::chrono::milliseconds(250);
   const double kPauseMicros = 250000.0;
-  for (size_t bound : {size_t{1}, size_t{2}}) {
-    obs::MetricsRegistry registry;
-    IngestPipelineOptions options;
-    options.registry = &registry;
-    options.shards = 1;
-    options.max_buffered_events = bound;
-    options.overload_policy = OverloadPolicy::kShedOldest;
-    IngestPipeline pipeline(4, options);
-    EXPECT_EQ(pipeline.Push({0, true, 1.0}), PushResult::kAccepted);
-    std::this_thread::sleep_for(kPause);
-    for (size_t i = 1; i <= bound; ++i) pipeline.Push({0, true, 1.0 + i});
-    EXPECT_EQ(pipeline.overload().shed_events, 1u);
-    pipeline.CloseEpochAndWait();
-    obs::Histogram& lag =
-        registry.GetHistogram("innet_ingest_visibility_lag_micros",
-                              obs::Histogram::DurationBoundsMicros());
-    ASSERT_EQ(lag.Count(), 1u);
-    if (bound == 1) {
-      EXPECT_LT(lag.Sum(), kPauseMicros) << "the shed emptied the buffer";
-    } else {
-      EXPECT_GE(lag.Sum(), kPauseMicros) << "the first buffered push counts";
-    }
-  }
+  obs::MetricsRegistry registry;
+  IngestPipelineOptions options;
+  options.registry = &registry;
+  options.shards = 1;
+  IngestPipeline pipeline(4, options);
+  obs::Histogram& lag =
+      registry.GetHistogram("innet_ingest_visibility_lag_micros",
+                            obs::Histogram::DurationBoundsMicros());
+
+  pipeline.Push({0, true, 1.0});
+  std::this_thread::sleep_for(kPause);
+  pipeline.Push({0, true, 2.0});
+  pipeline.CloseEpochAndWait();
+  ASSERT_EQ(lag.Count(), 1u);
+  const double first_lag = lag.Sum();
+  EXPECT_GE(first_lag, kPauseMicros) << "the epoch's first push counts";
+
+  pipeline.Push({0, true, 3.0});
+  pipeline.CloseEpochAndWait();
+  ASSERT_EQ(lag.Count(), 2u);
+  EXPECT_LT(lag.Sum() - first_lag, kPauseMicros)
+      << "the next epoch restarts the clock";
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <fstream>
 
 #include "core/sensor_network.h"
+#include "forms/frozen_tracking_form.h"
+#include "forms/tracking_form.h"
 #include "io/serialize.h"
 #include "mobility/road_network.h"
 #include "mobility/trajectory_generator.h"
@@ -143,6 +145,67 @@ TEST(SerializeTest, NonMonotoneTimestampsRejected) {
   ASSERT_TRUE(SaveTrajectories(bad, path).ok());
   auto loaded = LoadTrajectories(path);
   EXPECT_FALSE(loaded.ok());
+  std::remove(path.c_str());
+}
+
+// Overwrites the 8 bytes at `offset` of `path` with `value`.
+void PatchU64(const std::string& path, long offset, uint64_t value) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&value, sizeof(value), 1, f), 1u);
+  std::fclose(f);
+}
+
+// A header may claim counts of up to 2^32. Each claim is checked against
+// the bytes left in the file before anything is sized from it, so a
+// corrupt count is an InvalidArgument, not a multi-gigabyte allocation.
+TEST(SerializeTest, ClaimedCountsBeyondTheFileAreRejected) {
+  World w;
+  std::string path = TempPath("claims.bin");
+  constexpr uint64_t kClaim = 0xFFFFFFF0ull;
+
+  // Trips: magic, trip count, then per trip its length and points.
+  ASSERT_TRUE(SaveTrajectories(w.trajectories, path).ok());
+  PatchU64(path, 8, kClaim);  // The trip count.
+  auto trips = LoadTrajectories(path);
+  ASSERT_FALSE(trips.ok());
+  EXPECT_EQ(trips.status().code(), util::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(SaveTrajectories(w.trajectories, path).ok());
+  PatchU64(path, 16, kClaim);  // The first trip's length.
+  trips = LoadTrajectories(path);
+  ASSERT_FALSE(trips.ok());
+  EXPECT_EQ(trips.status().code(), util::StatusCode::kInvalidArgument);
+
+  // Road network: magic, node count, edge count.
+  ASSERT_TRUE(SaveRoadNetwork(*w.graph, path).ok());
+  PatchU64(path, 8, kClaim);
+  auto graph = LoadRoadNetwork(path);
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), util::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(SaveRoadNetwork(*w.graph, path).ok());
+  PatchU64(path, 16, kClaim);
+  graph = LoadRoadNetwork(path);
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), util::StatusCode::kInvalidArgument);
+
+  // Snapshot: magic, generation, covered epoch, covered events, slot
+  // count, event count.
+  forms::TrackingForm form(8);
+  form.RecordTraversal(3, true, 1.5);
+  form.RecordTraversal(5, false, 2.5);
+  forms::FrozenTrackingForm frozen = form.Freeze();
+  ASSERT_TRUE(SaveFrozenSnapshot(frozen, FrozenSnapshotMeta{}, path).ok());
+  ASSERT_TRUE(LoadFrozenSnapshot(path).ok());
+  PatchU64(path, 40, kClaim);  // The event count.
+  auto snapshot = LoadFrozenSnapshot(path);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), util::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(SaveFrozenSnapshot(frozen, FrozenSnapshotMeta{}, path).ok());
+  PatchU64(path, 32, kClaim);  // The slot count (even, as required).
+  snapshot = LoadFrozenSnapshot(path);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), util::StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

@@ -135,6 +135,34 @@ TEST(HistogramTest, OverflowLandsInInfBucket) {
   EXPECT_EQ(Histogram("empty", {1.0}).Percentile(0.5), 0.0);
 }
 
+// Prometheus `le` buckets are inclusive: a value equal to a bound belongs
+// to that bound's bucket. Integer-microsecond durations land exactly on the
+// power-of-4 duration bounds, so this decides where they are counted.
+TEST(HistogramTest, ValueOnABoundLandsInThatBoundsBucket) {
+  MetricsRegistry registry;
+  Histogram& histogram = registry.GetHistogram("h", {1.0, 4.0, 16.0});
+  histogram.Observe(1.0);
+  histogram.Observe(4.0);
+  histogram.Observe(4.0 + 1e-9);
+  histogram.Observe(16.0);
+  histogram.Observe(std::nan(""));  // Comparable to nothing: +Inf bucket.
+  std::vector<uint64_t> counts = histogram.BucketCounts();
+  ASSERT_EQ(counts.size(), 4u);
+  EXPECT_EQ(counts[0], 1u);
+  EXPECT_EQ(counts[1], 1u);
+  EXPECT_EQ(counts[2], 2u);
+  EXPECT_EQ(counts[3], 1u);
+
+  std::ostringstream out;
+  WritePrometheus(registry, out);
+  std::string text = out.str();
+  EXPECT_NE(text.find("h_bucket{le=\"1\"} 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("h_bucket{le=\"4\"} 2\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("h_bucket{le=\"16\"} 4\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("h_bucket{le=\"+Inf\"} 5\n"), std::string::npos)
+      << text;
+}
+
 TEST(HistogramTest, PercentileFromBucketCountsFreeFunction) {
   std::vector<double> bounds = {1.0, 2.0};
   // counts has bounds.size() + 1 entries; the last is the overflow bucket.

@@ -16,6 +16,7 @@
 #include "obs/query_cost.h"
 #include "obs/query_digest.h"
 #include "obs/slowlog.h"
+#include "util/timer.h"
 
 namespace innet::obs {
 namespace {
@@ -192,10 +193,9 @@ ExplainRecord MakeExplain() {
   return explain;
 }
 
-TEST(SlowLogTest, ThresholdGateUsesLatencyOrBoundaryCost) {
+TEST(SlowLogTest, ThresholdGateUsesLatency) {
   SlowQueryLogOptions options;
   options.threshold_micros = 10.0;
-  options.threshold_boundary_edges = 500;
   MetricsRegistry registry;
   options.registry = &registry;
   SlowQueryLog log(options);
@@ -204,40 +204,62 @@ TEST(SlowLogTest, ThresholdGateUsesLatencyOrBoundaryCost) {
   EXPECT_FALSE(log.IsSlow(fast));
   QueryCostProfile slow = MakeProfile(0, 1, 50000);  // 50us.
   EXPECT_TRUE(log.IsSlow(slow));
-  QueryCostProfile huge = MakeProfile(0, 1, 5000);
-  huge.boundary_edges = 600;  // Fast but enormous: still slow.
-  EXPECT_TRUE(log.IsSlow(huge));
+  QueryCostProfile edge = MakeProfile(0, 1, 10000);  // Exactly 10us.
+  EXPECT_TRUE(log.IsSlow(edge));
 }
 
 TEST(SlowLogTest, BurstIsRateLimitedAndSuppressionCounted) {
   SlowQueryLogOptions options;
   options.threshold_micros = 1.0;
-  options.max_records_per_sec = 0.001;  // Effectively no refill in-test.
-  options.burst = 5;
-  options.keep_last = 3;
   MetricsRegistry registry;
   options.registry = &registry;
+  util::Timer elapsed;  // Started before the bucket, so it bounds refill.
   SlowQueryLog log(options);
 
   QueryCostProfile slow = MakeProfile(0, 1, 50000);
   ExplainRecord explain = MakeExplain();
-  int admitted = 0;
-  for (int i = 0; i < 100; ++i) {
+  constexpr int kQueries = 100;
+  uint64_t admitted = 0;
+  for (int i = 0; i < kQueries; ++i) {
     if (log.Admit()) {
       log.Record(slow, explain);
       ++admitted;
     }
   }
-  // A 100-query burst emits at most the bucket's burst size...
-  EXPECT_EQ(admitted, 5);
-  EXPECT_EQ(log.Records(), 5u);
+  // A 100-query burst emits the bucket's burst, plus at most what the
+  // refill rate added while the loop ran...
+  const double refill =
+      SlowQueryLog::kMaxRecordsPerSec * elapsed.ElapsedSeconds();
+  EXPECT_GE(admitted, SlowQueryLog::kBurst);
+  EXPECT_LE(static_cast<double>(admitted),
+            static_cast<double>(SlowQueryLog::kBurst) + refill);
+  EXPECT_EQ(log.Records(), admitted);
   // ...and the rest are counted, not silently dropped.
-  EXPECT_EQ(log.Suppressed(), 95u);
-  EXPECT_EQ(registry.GetCounter("innet_slowlog_records_total").Value(), 5u);
+  EXPECT_EQ(log.Suppressed(), kQueries - admitted);
+  EXPECT_EQ(registry.GetCounter("innet_slowlog_records_total").Value(),
+            admitted);
   EXPECT_EQ(registry.GetCounter("innet_slowlog_suppressed_total").Value(),
-            95u);
-  // The in-memory ring keeps only the last keep_last records.
-  EXPECT_EQ(log.RecentRecords().size(), 3u);
+            kQueries - admitted);
+}
+
+TEST(SlowLogTest, RingKeepsTheLastRecords) {
+  SlowQueryLogOptions options;
+  options.threshold_micros = 1.0;
+  MetricsRegistry registry;
+  options.registry = &registry;
+  SlowQueryLog log(options);
+  ExplainRecord explain = MakeExplain();
+  const size_t kRecords = SlowQueryLog::kKeepLast + 36;
+  for (size_t i = 0; i < kRecords; ++i) {
+    log.Record(MakeProfile(0, 1, 1000 * (i + 1)), explain);  // i+1 us.
+  }
+  std::vector<std::string> records = log.RecentRecords();
+  ASSERT_EQ(records.size(), SlowQueryLog::kKeepLast);
+  // Oldest first: the 37th record through the last.
+  EXPECT_NE(records.front().find("\"total_micros\":37,"), std::string::npos)
+      << records.front();
+  EXPECT_NE(records.back().find("\"total_micros\":100,"), std::string::npos)
+      << records.back();
 }
 
 TEST(SlowLogTest, RecordCarriesCostProfileAndExplainJson) {

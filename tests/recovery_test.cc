@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -301,6 +302,59 @@ TEST(RecoveryTest, CorruptSnapshotFallsBackToFullReplay) {
     reference.RecordTraversal(e.edge, e.forward, e.time);
   }
   ExpectBitIdentical(*state->store, reference);
+}
+
+// A newest snapshot whose header claims 0xFFFFFFF0 events is rejected
+// with a Status before anything is sized from the claim, so recovery falls
+// back to the next snapshot: the same state as with that file absent.
+TEST(RecoveryTest, HugeClaimedSnapshotFallsBackToTheOlderOne) {
+  std::vector<CrossingEvent> stream = RandomStream(76, kNumEdges, 500);
+  TempDir dir;
+  DurableIngestRun(dir.path, stream, /*snapshot_every=*/2);
+  std::vector<std::string> snapshots;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("snap-", 0) == 0) snapshots.push_back(entry.path());
+  }
+  ASSERT_GE(snapshots.size(), 2u);
+  std::sort(snapshots.begin(), snapshots.end());
+  const std::string newest = snapshots.back();
+  const std::string aside = dir.path + "/aside.bin";
+
+  RecoveryOptions options;
+  options.wal_dir = dir.path;
+  options.num_edges = kNumEdges;
+  // Without the newest snapshot.
+  ASSERT_EQ(std::rename(newest.c_str(), aside.c_str()), 0);
+  util::StatusOr<RecoveredState> without = RecoveryManager(options).Recover();
+  ASSERT_EQ(std::rename(aside.c_str(), newest.c_str()), 0);
+  ASSERT_TRUE(without.ok()) << without.status().ToString();
+  ASSERT_TRUE(without->used_snapshot);
+
+  // Header: magic, generation, covered epoch, covered events, slot count,
+  // event count (byte 40).
+  std::FILE* f = std::fopen(newest.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  const uint64_t claim = 0xFFFFFFF0ull;
+  ASSERT_EQ(std::fseek(f, 40, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&claim, sizeof(claim), 1, f), 1u);
+  std::fclose(f);
+  util::StatusOr<RecoveredState> with = RecoveryManager(options).Recover();
+  ASSERT_TRUE(with.ok()) << with.status().ToString();
+
+  EXPECT_TRUE(with->used_snapshot);
+  EXPECT_EQ(with->snapshot_events, without->snapshot_events);
+  EXPECT_EQ(with->replayed_events, without->replayed_events);
+  EXPECT_EQ(with->durable_events, without->durable_events);
+  EXPECT_EQ(with->durable_epoch, without->durable_epoch);
+  EXPECT_EQ(with->generation, without->generation);
+  EXPECT_EQ(with->store->RawOffsets(), without->store->RawOffsets());
+  EXPECT_EQ(with->store->RawTimes(), without->store->RawTimes());
+  TrackingForm reference(kNumEdges);
+  for (const CrossingEvent& e : stream) {
+    reference.RecordTraversal(e.edge, e.forward, e.time);
+  }
+  ExpectBitIdentical(*with->store, reference);
 }
 
 TEST(RecoveryTest, EmptyOrMissingLogRecoversEmptyGenerationOne) {

@@ -6,6 +6,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -191,7 +192,7 @@ TEST(TelemetryServerTest, VarzReportsBuildCountersAndSlos) {
   registry.GetGauge("depth").Set(2.5);
   registry.GetHistogram("lat", {1.0, 10.0}).Observe(3.0);
 
-  TimeSeriesCollector collector(registry, TimeSeriesOptions{});
+  TimeSeriesCollector collector(registry);
   collector.SampleNow();
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   registry.GetCounter("reqs_total").Increment(5);
@@ -226,15 +227,13 @@ TEST(TelemetryServerTest, VarzReportsBuildCountersAndSlos) {
             std::string::npos);
 }
 
-TEST(TimeSeriesTest, RatesWindowedCountsAndQuantiles) {
+TEST(TimeSeriesTest, RatesMaximaAndWindowedQuantiles) {
   MetricsRegistry registry;
   Counter& counter = registry.GetCounter("events_total");
   Gauge& gauge = registry.GetGauge("level");
   Histogram& histogram = registry.GetHistogram("lat", {1.0, 2.0});
 
-  TimeSeriesOptions options;
-  options.window_slots = 8;
-  TimeSeriesCollector collector(registry, options);
+  TimeSeriesCollector collector(registry);
   EXPECT_EQ(collector.CounterRate("events_total", 10.0), 0.0);
 
   gauge.Set(4.0);
@@ -250,14 +249,13 @@ TEST(TimeSeriesTest, RatesWindowedCountsAndQuantiles) {
 
   // Rate derives from the cumulative delta over elapsed sample time.
   EXPECT_GT(collector.CounterRate("events_total", 10.0), 0.0);
-  EXPECT_DOUBLE_EQ(collector.Last("events_total"), 100.0);
-  EXPECT_DOUBLE_EQ(collector.Last("level"), 9.0);
+  EXPECT_DOUBLE_EQ(collector.Series("events_total").back().value, 100.0);
+  EXPECT_DOUBLE_EQ(collector.Series("level").back().value, 9.0);
   EXPECT_DOUBLE_EQ(collector.WindowedMax("level", 10.0), 9.0);
 
   // The windowed quantile sees only the delta between the window's edge
   // samples: the four 1.5s, not the four 0.5s recorded before the first
   // sample... which ARE in the first cumulative snapshot, hence excluded.
-  EXPECT_EQ(collector.WindowedCount("lat", 10.0), 4u);
   double q50 = collector.WindowedQuantile("lat", 10.0, 0.5);
   EXPECT_GT(q50, 1.0);
   EXPECT_LE(q50, 2.0);
@@ -265,14 +263,50 @@ TEST(TimeSeriesTest, RatesWindowedCountsAndQuantiles) {
   // bucket: the window view and lifetime view answer different questions.
   EXPECT_LE(histogram.Percentile(0.5), 1.0);
 
-  // Ring eviction: many samples, bounded slots, oldest dropped.
+  // Ring eviction: many samples, bounded slots, oldest dropped. A reader
+  // of a 2 s window makes the rings hold 2 s / 250 ms + 1 = 9 samples; a
+  // shorter window afterwards leaves that alone.
+  collector.RetainWindow(2.0);
+  collector.RetainWindow(0.5);
   for (int i = 0; i < 20; ++i) collector.SampleNow();
-  EXPECT_EQ(collector.Series("events_total").size(), options.window_slots);
+  std::vector<TimeSeriesSample> series = collector.Series("events_total");
+  ASSERT_EQ(series.size(), 9u);
+  EXPECT_TRUE(std::is_sorted(
+      series.begin(), series.end(),
+      [](const TimeSeriesSample& a, const TimeSeriesSample& b) {
+        return a.at_seconds < b.at_seconds;
+      }));
 
   std::vector<std::pair<std::string, double>> rates =
       collector.AllCounterRates(10.0);
   ASSERT_EQ(rates.size(), 1u);
   EXPECT_EQ(rates[0].first, "events_total");
+}
+
+// Each reader sizes the rings for the longest window it reads: /varz its
+// 10 s rate window, an SLO objective its long window. A long=60 objective
+// must see 60 s of history (241 samples 250 ms apart), not a fixed ring.
+TEST(TimeSeriesTest, RingsHoldTheLongestWindowTheirReadersRead) {
+  MetricsRegistry registry;
+  registry.GetCounter("reqs_total");
+  TimeSeriesCollector collector(registry);
+  auto held_after_300 = [&] {
+    for (int i = 0; i < 300; ++i) collector.SampleNow();
+    return collector.Series("reqs_total").size();
+  };
+  EXPECT_EQ(held_after_300(), 2u);  // No reader yet: one delta.
+
+  TelemetryServer server(registry, TelemetryServerOptions{});
+  server.AttachCollector(&collector);
+  EXPECT_EQ(held_after_300(), 41u);  // /varz: 10 s.
+
+  std::vector<SloObjective> objectives;
+  ASSERT_TRUE(ParseSloConfig(
+      "slo name=rate metric=reqs_total signal=rate threshold=1 short=5 "
+      "long=60\n",
+      &objectives));
+  SloEngine slo(registry, collector, std::move(objectives));
+  EXPECT_GE(held_after_300(), 241u);
 }
 
 TEST(SloTest, ParseConfigAcceptsValidRejectsMalformed) {
@@ -314,6 +348,16 @@ TEST(SloTest, ParseConfigAcceptsValidRejectsMalformed) {
       "bogus=1\n",
       &rejected));
   EXPECT_FALSE(ParseSloConfig("objective name=x\n", &rejected));
+  // A long window the rings cannot hold (over an hour, or infinite).
+  EXPECT_FALSE(ParseSloConfig(
+      "slo name=x metric=m signal=gauge threshold=1 short=1 long=3601\n",
+      &rejected));
+  EXPECT_FALSE(ParseSloConfig(
+      "slo name=x metric=m signal=gauge threshold=1 short=1 long=inf\n",
+      &rejected));
+  EXPECT_TRUE(ParseSloConfig(
+      "slo name=x metric=m signal=gauge threshold=1 short=1 long=3600\n",
+      &rejected));
 }
 
 // Captures WARN+ lines so the stationary/regression contrast is assertable.
@@ -332,7 +376,7 @@ TEST(SloTest, LatchesOnLatencyRegressionSilentWhenStationary) {
   MetricsRegistry registry;
   Histogram& latency =
       registry.GetHistogram("innet_lat_micros", {1.0, 10.0, 100.0});
-  TimeSeriesCollector collector(registry, TimeSeriesOptions{});
+  TimeSeriesCollector collector(registry);
 
   // Tiny windows + spaced samples force the edge pair to the last two
   // slots, so each Evaluate sees exactly the observations since the
@@ -451,16 +495,16 @@ TEST(FlightRecorderTest, NotesSurviveToParseableDump) {
 }
 
 // The TSan CI job runs this binary: scrapes must be clean against live
-// metric writers and a background sampling thread.
+// metric writers, the background sampling thread, and a second thread
+// sampling every 2 ms (the background period, 250 ms, would sample only
+// once or twice in the test's lifetime).
 TEST(TelemetryServerTest, ConcurrentScrapeUnderIngestIsRaceFree) {
   MetricsRegistry registry;
   Counter& events = registry.GetCounter("events_total", "writer hammer");
   Gauge& depth = registry.GetGauge("depth");
   Histogram& latency = registry.GetHistogram("lat", {1.0, 10.0, 100.0});
 
-  TimeSeriesOptions collector_options;
-  collector_options.period_ms = 2;
-  TimeSeriesCollector collector(registry, collector_options);
+  TimeSeriesCollector collector(registry);
   collector.Start();
 
   TelemetryServer server(registry, TelemetryServerOptions{});
@@ -484,6 +528,12 @@ TEST(TelemetryServerTest, ConcurrentScrapeUnderIngestIsRaceFree) {
       }
     });
   }
+  std::thread sampler([&] {
+    do {
+      collector.SampleNow();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    } while (writing.load(std::memory_order_relaxed));
+  });
 
   constexpr int kScrapers = 2;
   constexpr int kRequestsEach = 12;
@@ -504,6 +554,7 @@ TEST(TelemetryServerTest, ConcurrentScrapeUnderIngestIsRaceFree) {
   for (std::thread& scraper : scrapers) scraper.join();
   writing.store(false);
   for (std::thread& writer : writers) writer.join();
+  sampler.join();
   collector.Stop();
   server.Stop();
 

@@ -287,9 +287,7 @@ int BatchMain(util::FlagParser& flags, const core::SensorNetwork& network,
   std::unique_ptr<obs::TelemetryServer> telemetry;
   if (serve_telemetry) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    collector =
-        std::make_unique<obs::TimeSeriesCollector>(registry,
-                                                   obs::TimeSeriesOptions{});
+    collector = std::make_unique<obs::TimeSeriesCollector>(registry);
     collector->AddDerivedGauge(
         "innet_uptime_seconds", "",
         [](double) { return obs::UptimeSeconds(); });
