@@ -56,7 +56,8 @@ REQUIRED = {
             "lookup_fused_ns", "lookup_speedup_x",
             "series_virtual_ns_per_step", "series_batch_ns_per_step",
             "series_speedup_x", "warm_query_allocs", "warm_degraded_allocs",
-            "junction_lookup_ns",
+            "junction_lookup_ns", "routes", "route_dijkstra_ns",
+            "route_astar_ns", "route_speedup_x",
         ],
     },
 }

@@ -9,10 +9,10 @@
 //                  the fused FrozenTrackingForm kernels on one fixed world —
 //                  healthy boundaries and degraded F-/F+ pairs alike —
 //                  verifies bit-identity, counts warm-path allocations,
-//                  times the rectangle-to-junction front end against a
-//                  brute-force oracle, and writes a JsonReport (default
-//                  BENCH_kernels.json) whose schema CI's bench-smoke job
-//                  validates.
+//                  times the rectangle-to-junction front end and the A*
+//                  trip router against Dijkstra, and writes a JsonReport
+//                  (default BENCH_kernels.json) whose schema CI's
+//                  bench-smoke job validates.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -559,6 +559,37 @@ int KernelReport(const util::FlagParser& flags) {
       MeasureJunctionLookupNs(framework.network(), queries);
   report.Metric("junction_lookup_ns", junction_lookup_ns);
 
+  // Trip routing: the A* router against Dijkstra (ShortestPath) over the
+  // same Euclidean road weights, on a fixed seeded set of junction pairs.
+  // That both return the same paths is pinned by
+  // tests/shortest_path_test.cc; this times them.
+  const graph::PlanarGraph& roads = framework.network().mobility();
+  const graph::WeightedAdjacency road_weights =
+      graph::EuclideanAdjacency(roads);
+  const graph::EuclideanRouter router(roads);
+  constexpr size_t kRoutes = 2000;
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> route_pairs(kRoutes);
+  util::Rng route_rng(12);
+  for (auto& [src, dst] : route_pairs) {
+    src = static_cast<graph::NodeId>(route_rng.UniformIndex(roads.NumNodes()));
+    dst = static_cast<graph::NodeId>(route_rng.UniformIndex(roads.NumNodes()));
+  }
+  const double route_dijkstra_ns = TimePerCallNs(3, kRoutes, [&] {
+    for (const auto& [src, dst] : route_pairs) {
+      sink += graph::ShortestPath(road_weights, src, dst)->cost;
+    }
+  });
+  const double route_astar_ns = TimePerCallNs(3, kRoutes, [&] {
+    for (const auto& [src, dst] : route_pairs) {
+      sink += router.Route(src, dst).cost;
+    }
+  });
+  report.Metric("routes", static_cast<double>(kRoutes));
+  report.Metric("route_dijkstra_ns", route_dijkstra_ns);
+  report.Metric("route_astar_ns", route_astar_ns);
+  report.Metric("route_speedup_x",
+                route_dijkstra_ns / std::max(route_astar_ns, 1e-9));
+
   // Warm-path allocation count: after warm-up, a workspace-threaded query
   // must not touch the heap (the same invariant tests/workspace_test.cc
   // pins; reported here so the bench artifact records it per commit).
@@ -603,7 +634,8 @@ int KernelReport(const util::FlagParser& flags) {
       "kernels: static %.1f -> %.1f ns (%.2fx) | transient %.1f -> %.1f ns "
       "(%.2fx) | degraded static %.1f -> %.1f ns (%.2fx) | lookup %.1f -> "
       "%.1f ns (%.2fx) | series %.2f -> %.2f ns/step (%.2fx) | drift %g | "
-      "warm allocs %.0f (degraded %.0f) | junction lookup %.1f ns\n",
+      "warm allocs %.0f (degraded %.0f) | junction lookup %.1f ns | route "
+      "%.1f -> %.1f us (%.2fx)\n",
       static_virtual_ns, static_fused_ns,
       static_virtual_ns / std::max(static_fused_ns, 1e-9),
       transient_virtual_ns, transient_fused_ns,
@@ -614,7 +646,9 @@ int KernelReport(const util::FlagParser& flags) {
       lookup_virtual_ns / std::max(lookup_fused_ns, 1e-9), series_virtual_ns,
       series_batch_ns, series_virtual_ns / std::max(series_batch_ns, 1e-9),
       drift, static_cast<double>(warm_allocs),
-      static_cast<double>(warm_degraded_allocs), junction_lookup_ns);
+      static_cast<double>(warm_degraded_allocs), junction_lookup_ns,
+      route_dijkstra_ns / 1000.0, route_astar_ns / 1000.0,
+      route_dijkstra_ns / std::max(route_astar_ns, 1e-9));
 
   if (drift != 0.0) {
     std::fprintf(stderr, "FAIL: fused kernels drifted from the virtual path "

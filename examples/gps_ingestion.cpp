@@ -5,7 +5,7 @@
 
 #include "core/framework.h"
 #include "core/workload.h"
-#include "graph/weighted_adjacency.h"
+#include "graph/shortest_path.h"
 #include "mobility/map_matching.h"
 #include "mobility/road_network.h"
 #include "mobility/trajectory_generator.h"
@@ -20,8 +20,7 @@ int main() {
   mobility::RoadNetworkOptions road;
   road.num_junctions = 900;
   graph::PlanarGraph mobility_graph = mobility::GenerateRoadNetwork(road, rng);
-  graph::WeightedAdjacency adjacency =
-      graph::EuclideanAdjacency(mobility_graph);
+  graph::EuclideanRouter router(mobility_graph);
   spatial::KdTree junction_index(mobility_graph.positions());
 
   // Simulate a fleet logging noisy GPS fixes: ground-truth trips are driven,
@@ -48,7 +47,7 @@ int main() {
   size_t dropped = 0;
   util::Accumulator length_ratio;
   for (size_t i = 0; i < traces.size(); ++i) {
-    mobility::Trajectory t = mobility::MapMatch(mobility_graph, adjacency,
+    mobility::Trajectory t = mobility::MapMatch(mobility_graph, router,
                                                 junction_index, traces[i]);
     if (t.nodes.size() < 2) {
       ++dropped;

@@ -4,27 +4,63 @@
 #include <cmath>
 #include <set>
 
+#include "graph/connectivity.h"
 #include "util/logging.h"
 
 namespace innet::graph {
 
+util::StatusOr<PlanarGraph> PlanarGraph::Create(
+    std::vector<geometry::Point> positions,
+    std::vector<std::pair<NodeId, NodeId>> edges) {
+  PlanarGraph graph;
+  util::Status status = graph.Build(std::move(positions), std::move(edges));
+  if (!status.ok()) return status;
+  return graph;
+}
+
 PlanarGraph::PlanarGraph(std::vector<geometry::Point> positions,
-                         std::vector<std::pair<NodeId, NodeId>> edges)
-    : positions_(std::move(positions)) {
+                         std::vector<std::pair<NodeId, NodeId>> edges) {
+  util::Status status = Build(std::move(positions), std::move(edges));
+  if (!status.ok()) INNET_LOG(ERROR) << "PlanarGraph: " << status.ToString();
+  INNET_CHECK(status.ok());
+}
+
+util::Status PlanarGraph::Build(std::vector<geometry::Point> positions,
+                                std::vector<std::pair<NodeId, NodeId>> edges) {
+  positions_ = std::move(positions);
+  // Non-finite coordinates would also break the angle sort's ordering in
+  // BuildAdjacency, so they are rejected first.
+  for (const geometry::Point& p : positions_) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) ||
+        std::abs(p.x) > kMaxCoordinate || std::abs(p.y) > kMaxCoordinate) {
+      return util::InvalidArgumentError("coordinate not finite or too large");
+    }
+  }
+  if (edges.empty()) return util::InvalidArgumentError("graph has no edges");
   edges_.reserve(edges.size());
   std::set<std::pair<NodeId, NodeId>> seen;
   for (const auto& [u, v] : edges) {
-    INNET_CHECK(u < positions_.size() && v < positions_.size());
-    INNET_CHECK(u != v);
+    if (u >= positions_.size() || v >= positions_.size() || u == v) {
+      return util::InvalidArgumentError("invalid edge endpoints");
+    }
     auto key = std::minmax(u, v);
-    INNET_CHECK(seen.insert({key.first, key.second}).second);
+    if (!seen.insert({key.first, key.second}).second) {
+      return util::InvalidArgumentError("duplicate edge");
+    }
     EdgeRecord rec;
     rec.u = u;
     rec.v = v;
     edges_.push_back(rec);
   }
   BuildAdjacency();
-  BuildFaces();
+  // The face and Euler checks cannot stand in for this: a component with
+  // crossing roads beside isolated junctions or a second component can
+  // still sum to V - E + F = 2. The count reads only the adjacency.
+  if (ComponentsWithRemovedEdges(*this, std::vector<bool>(edges_.size()))
+          .count != 1) {
+    return util::InvalidArgumentError("graph is not connected");
+  }
+  return BuildFaces();
 }
 
 void PlanarGraph::BuildAdjacency() {
@@ -69,7 +105,7 @@ uint32_t PlanarGraph::NextHalfEdgeInFace(uint32_t h) const {
   return (edges_[e].u == b) ? (e << 1) : ((e << 1) | 1);
 }
 
-void PlanarGraph::BuildFaces() {
+util::Status PlanarGraph::BuildFaces() {
   half_edge_face_.assign(edges_.size() * 2, kInvalidFace);
   faces_.clear();
   for (uint32_t start = 0; start < half_edge_face_.size(); ++start) {
@@ -113,12 +149,20 @@ void PlanarGraph::BuildFaces() {
       outer_face_ = f;
     }
   }
-  INNET_CHECK(faces_.size() == 1 || faces_[outer_face_].signed_area < 0.0);
+  if (faces_.size() > 1 && !(faces_[outer_face_].signed_area < 0.0)) {
+    return util::InvalidArgumentError(
+        "no clockwise outer face (crossing roads)");
+  }
   faces_[outer_face_].is_outer = true;
 
-  // Euler's formula for connected planar graphs; violated when the input is
-  // disconnected or the embedding is inconsistent (crossing edges).
-  INNET_CHECK(NumNodes() - NumEdges() + NumFaces() == 2);
+  // Euler's formula for connected planar graphs (connectivity is checked
+  // before the faces are built); violated when the embedding is
+  // inconsistent (crossing edges).
+  if (NumNodes() - NumEdges() + NumFaces() != 2) {
+    return util::InvalidArgumentError(
+        "embedding violates Euler's formula (crossing roads)");
+  }
+  return util::Status::Ok();
 }
 
 EdgeId PlanarGraph::EdgeBetween(NodeId u, NodeId v) const {

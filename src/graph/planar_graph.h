@@ -18,6 +18,7 @@
 
 #include "geometry/point.h"
 #include "geometry/polygon.h"
+#include "util/status.h"
 
 namespace innet::graph {
 
@@ -57,16 +58,31 @@ struct Neighbor {
   EdgeId edge;
 };
 
-/// Connected, simple, embedded planar graph. Nodes carry coordinates; edges
-/// are straight segments that must not cross (not re-checked here: inputs
-/// come from constructions that guarantee it, e.g., Delaunay subsets and
-/// shortest-path unions).
+/// Connected, simple, embedded planar graph. Nodes carry finite coordinates;
+/// edges are straight segments that must not cross. Crossings are caught
+/// where they make the rotation system non-planar (the outer-face and Euler
+/// checks). A crossing that leaves it planar, such as a bowtie
+/// quadrilateral, is not detected; generated inputs exclude it by
+/// construction (Delaunay subsets, planarization).
 class PlanarGraph {
  public:
-  /// Builds the graph and its rotation system. Edges must be unique,
-  /// loop-free pairs of valid node ids, and the graph must be connected.
+  /// Builds the graph and its rotation system, or says why the input is not
+  /// a valid embedding: a coordinate that is not finite or exceeds
+  /// kMaxCoordinate in magnitude, no edges, an edge that is out of range,
+  /// a loop or a repeat, a disconnected graph, or a rotation system that
+  /// fails the outer-face or Euler checks. Errors are InvalidArgument.
+  static util::StatusOr<PlanarGraph> Create(
+      std::vector<geometry::Point> positions,
+      std::vector<std::pair<NodeId, NodeId>> edges);
+
+  /// Same construction as Create; CHECK-fails on input it rejects. For
+  /// inputs valid by construction (generators, planarization output).
   PlanarGraph(std::vector<geometry::Point> positions,
               std::vector<std::pair<NodeId, NodeId>> edges);
+
+  /// Bound on coordinate magnitude: every distance, area and path cost
+  /// derived from the positions then stays finite.
+  static constexpr double kMaxCoordinate = 1e100;
 
   PlanarGraph(const PlanarGraph&) = default;
   PlanarGraph(PlanarGraph&&) = default;
@@ -125,8 +141,13 @@ class PlanarGraph {
   FaceId FaceOfHalfEdge(uint32_t h) const { return half_edge_face_[h]; }
 
  private:
+  PlanarGraph() = default;
+
+  // The one construction path behind Create and the CHECKing constructor.
+  util::Status Build(std::vector<geometry::Point> positions,
+                     std::vector<std::pair<NodeId, NodeId>> edges);
   void BuildAdjacency();
-  void BuildFaces();
+  util::Status BuildFaces();
   uint32_t NextHalfEdgeInFace(uint32_t h) const;
 
   std::vector<geometry::Point> positions_;

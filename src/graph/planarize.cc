@@ -6,8 +6,6 @@
 #include <set>
 
 #include "geometry/segment.h"
-#include "graph/connectivity.h"
-#include "graph/weighted_adjacency.h"
 #include "util/logging.h"
 
 namespace innet::graph {
@@ -149,22 +147,11 @@ util::StatusOr<PlanarizeResult> Planarize(
 
   std::vector<std::pair<NodeId, NodeId>> final_edges(out_edges.begin(),
                                                      out_edges.end());
-  // Connectivity check before the PlanarGraph constructor asserts it.
-  {
-    WeightedAdjacency adjacency(positions.size());
-    for (const auto& [u, v] : final_edges) {
-      adjacency[u].push_back({v, 0, 1.0});
-      adjacency[v].push_back({u, 0, 1.0});
-    }
-    if (!IsConnected(adjacency)) {
-      return util::InvalidArgumentError("planarized graph is disconnected");
-    }
-  }
-
   size_t inserted = positions.size() - original_nodes;
-  return PlanarizeResult{
-      PlanarGraph(std::move(positions), std::move(final_edges)), inserted,
-      split_edges};
+  util::StatusOr<PlanarGraph> graph =
+      PlanarGraph::Create(std::move(positions), std::move(final_edges));
+  if (!graph.ok()) return graph.status();
+  return PlanarizeResult{std::move(*graph), inserted, split_edges};
 }
 
 }  // namespace innet::graph

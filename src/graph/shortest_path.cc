@@ -1,6 +1,7 @@
 #include "graph/shortest_path.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <queue>
@@ -13,24 +14,28 @@ namespace innet::graph {
 namespace {
 
 struct QueueEntry {
-  double dist;
+  double key;   // g + h(node): the pop order.
+  double dist;  // g at push time; stale once the node's g has dropped.
   NodeId node;
-  bool operator>(const QueueEntry& o) const { return dist > o.dist; }
+  bool operator>(const QueueEntry& o) const { return key > o.key; }
 };
 
-struct DijkstraState {
+struct SearchState {
   std::vector<double> dist;
   std::vector<NodeId> parent;
   std::vector<EdgeId> parent_edge;
 };
 
-// Runs Dijkstra from src; stops early once `target` is settled (pass
-// kInvalidNode to settle everything).
-DijkstraState RunDijkstra(const WeightedAdjacency& adjacency, NodeId src,
-                          NodeId target, const std::vector<bool>* blocked) {
+// The one best-first search loop behind Dijkstra (h ≡ 0) and A*. Entries
+// pop in order of g + h(node); with h ≡ 0 that is g, Dijkstra's order. Stops
+// once `target` is settled (pass kInvalidNode to settle everything).
+template <typename Heuristic>
+SearchState Search(const WeightedAdjacency& adjacency, NodeId src,
+                   NodeId target, const std::vector<bool>* blocked,
+                   const Heuristic& h) {
   size_t n = adjacency.size();
   INNET_CHECK(src < n);
-  DijkstraState state;
+  SearchState state;
   state.dist.assign(n, std::numeric_limits<double>::infinity());
   state.parent.assign(n, kInvalidNode);
   state.parent_edge.assign(n, kInvalidEdge);
@@ -43,34 +48,31 @@ DijkstraState RunDijkstra(const WeightedAdjacency& adjacency, NodeId src,
                       std::greater<QueueEntry>>
       queue;
   state.dist[src] = 0.0;
-  queue.push({0.0, src});
+  queue.push({h(src), 0.0, src});
   while (!queue.empty()) {
-    auto [d, u] = queue.top();
+    QueueEntry top = queue.top();
     queue.pop();
-    if (d > state.dist[u]) continue;
+    NodeId u = top.node;
+    if (top.dist > state.dist[u]) continue;
     if (u == target) break;
     for (const WeightedArc& arc : adjacency[u]) {
       if (blocked != nullptr && (*blocked)[arc.to]) continue;
-      double candidate = d + arc.weight;
+      double candidate = top.dist + arc.weight;
       if (candidate < state.dist[arc.to]) {
         state.dist[arc.to] = candidate;
         state.parent[arc.to] = u;
         state.parent_edge[arc.to] = arc.via;
-        queue.push({candidate, arc.to});
+        queue.push({candidate + h(arc.to), candidate, arc.to});
       }
     }
   }
   return state;
 }
 
-}  // namespace
+double NoHeuristic(NodeId) { return 0.0; }
 
-std::optional<Path> ShortestPath(const WeightedAdjacency& adjacency,
-                                 NodeId src, NodeId dst,
-                                 const std::vector<bool>* blocked) {
-  INNET_CHECK(dst < adjacency.size());
-  DijkstraState state = RunDijkstra(adjacency, src, dst, blocked);
-  if (!std::isfinite(state.dist[dst])) return std::nullopt;
+// Walks the parent links back from a reached `dst`.
+Path PathTo(const SearchState& state, NodeId src, NodeId dst) {
   Path path;
   path.cost = state.dist[dst];
   for (NodeId cur = dst; cur != src; cur = state.parent[cur]) {
@@ -83,10 +85,41 @@ std::optional<Path> ShortestPath(const WeightedAdjacency& adjacency,
   return path;
 }
 
+// Scales the straight-line heuristic just below the true distance, so
+// rounding in the heuristic or in the summed weights cannot make it
+// overestimate (and so cannot change which path wins).
+constexpr double kHeuristicScale = 1.0 - 1e-9;
+
+}  // namespace
+
+std::optional<Path> ShortestPath(const WeightedAdjacency& adjacency,
+                                 NodeId src, NodeId dst,
+                                 const std::vector<bool>* blocked) {
+  INNET_CHECK(dst < adjacency.size());
+  SearchState state = Search(adjacency, src, dst, blocked, NoHeuristic);
+  if (!std::isfinite(state.dist[dst])) return std::nullopt;
+  return PathTo(state, src, dst);
+}
+
 std::vector<double> DijkstraDistances(const WeightedAdjacency& adjacency,
                                       NodeId src,
                                       const std::vector<bool>* blocked) {
-  return RunDijkstra(adjacency, src, kInvalidNode, blocked).dist;
+  return Search(adjacency, src, kInvalidNode, blocked, NoHeuristic).dist;
+}
+
+EuclideanRouter::EuclideanRouter(const PlanarGraph& graph)
+    : positions_(graph.positions()), adjacency_(EuclideanAdjacency(graph)) {}
+
+Path EuclideanRouter::Route(NodeId src, NodeId dst) const {
+  INNET_CHECK(dst < adjacency_.size());
+  const geometry::Point& target = positions_[dst];
+  SearchState state =
+      Search(adjacency_, src, dst, nullptr, [&](NodeId node) {
+        return kHeuristicScale * geometry::Distance(positions_[node], target);
+      });
+  // A PlanarGraph is connected: every destination is reached.
+  INNET_CHECK(std::isfinite(state.dist[dst]));
+  return PathTo(state, src, dst);
 }
 
 std::vector<uint32_t> BfsHops(const WeightedAdjacency& adjacency, NodeId src) {

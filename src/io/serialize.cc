@@ -8,12 +8,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <set>
 
 #include "faults/crash_points.h"
-#include "graph/connectivity.h"
 #include "graph/planarize.h"
-#include "graph/weighted_adjacency.h"
 #include "io/event_log.h"
 
 namespace innet::io {
@@ -116,35 +113,17 @@ util::StatusOr<graph::PlanarGraph> LoadRoadNetwork(const std::string& path) {
     }
   }
   std::vector<std::pair<graph::NodeId, graph::NodeId>> edges(num_edges);
-  std::set<std::pair<graph::NodeId, graph::NodeId>> seen;
   for (auto& [u, v] : edges) {
-    uint32_t a = 0;
-    uint32_t b = 0;
-    if (!ReadValue(f, &a) || !ReadValue(f, &b)) {
+    if (!ReadValue(f, &u) || !ReadValue(f, &v)) {
       return util::InvalidArgumentError("truncated edges: " + path);
     }
-    if (a >= num_nodes || b >= num_nodes || a == b) {
-      return util::InvalidArgumentError("invalid edge endpoints: " + path);
-    }
-    auto key = std::minmax(a, b);
-    if (!seen.insert({key.first, key.second}).second) {
-      return util::InvalidArgumentError("duplicate edge: " + path);
-    }
-    u = a;
-    v = b;
   }
-  // Connectivity must hold before the PlanarGraph constructor asserts it.
-  {
-    graph::WeightedAdjacency adjacency(num_nodes);
-    for (const auto& [u, v] : edges) {
-      adjacency[u].push_back({v, 0, 1.0});
-      adjacency[v].push_back({u, 0, 1.0});
-    }
-    if (!graph::IsConnected(adjacency)) {
-      return util::InvalidArgumentError("graph is not connected: " + path);
-    }
+  util::StatusOr<graph::PlanarGraph> loaded =
+      graph::PlanarGraph::Create(std::move(positions), std::move(edges));
+  if (!loaded.ok()) {
+    return util::InvalidArgumentError(loaded.status().message() + ": " + path);
   }
-  return graph::PlanarGraph(std::move(positions), std::move(edges));
+  return loaded;
 }
 
 util::Status SaveTrajectories(

@@ -25,9 +25,9 @@ util::Status SaveRoadNetwork(const graph::PlanarGraph& graph,
                              const std::string& path);
 
 /// Reads a mobility graph. Fails with InvalidArgument on malformed content
-/// (bad magic, out-of-range ids, duplicate or self-loop edges, disconnected
-/// graphs). The file is trusted to contain a valid planar embedding; that
-/// property is re-checked structurally (Euler's formula) on construction.
+/// (bad magic, truncation, non-finite coordinates, out-of-range ids,
+/// duplicate or self-loop edges, a disconnected graph), and on crossing
+/// roads that fail graph::PlanarGraph::Create's outer-face or Euler checks.
 util::StatusOr<graph::PlanarGraph> LoadRoadNetwork(const std::string& path);
 
 /// Writes a trajectory set to `path`.

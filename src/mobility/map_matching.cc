@@ -9,7 +9,7 @@
 namespace innet::mobility {
 
 Trajectory MapMatch(const graph::PlanarGraph& graph,
-                    const graph::WeightedAdjacency& adjacency,
+                    const graph::EuclideanRouter& router,
                     const spatial::KdTree& junction_index,
                     const GpsTrace& trace) {
   Trajectory result;
@@ -31,20 +31,18 @@ Trajectory MapMatch(const graph::PlanarGraph& graph,
   result.nodes.push_back(anchors[0]);
   result.times.push_back(anchor_times[0]);
   for (size_t i = 0; i + 1 < anchors.size(); ++i) {
-    std::optional<graph::Path> path =
-        graph::ShortestPath(adjacency, anchors[i], anchors[i + 1]);
-    if (!path.has_value()) return Trajectory{};  // Disconnected graph.
+    graph::Path path = router.Route(anchors[i], anchors[i + 1]);
     // Interpolate arrival times along the path proportionally to length.
-    double total = std::max(path->cost, 1e-9);
+    double total = std::max(path.cost, 1e-9);
     double t0 = result.times.back();
     double span = std::max(anchor_times[i + 1] - t0, 1e-6);
     double walked = 0.0;
-    for (size_t leg = 0; leg + 1 < path->nodes.size(); ++leg) {
-      walked += graph.EdgeLength(path->edges[leg]);
+    for (size_t leg = 0; leg + 1 < path.nodes.size(); ++leg) {
+      walked += graph.EdgeLength(path.edges[leg]);
       double t = t0 + span * (walked / total);
       // Guard against non-increasing times from degenerate geometry.
       t = std::max(t, result.times.back() + 1e-6);
-      result.nodes.push_back(path->nodes[leg + 1]);
+      result.nodes.push_back(path.nodes[leg + 1]);
       result.times.push_back(t);
     }
   }

@@ -8,7 +8,7 @@
 
 #include "geometry/point.h"
 #include "graph/planar_graph.h"
-#include "graph/weighted_adjacency.h"
+#include "graph/shortest_path.h"
 #include "mobility/trajectory.h"
 #include "spatial/kdtree.h"
 #include "util/rng.h"
@@ -25,9 +25,10 @@ struct GpsTrace {
 /// junction; consecutive distinct junctions are connected by the shortest
 /// path, with arrival times interpolated along the path proportionally to
 /// edge length. Returns an empty trajectory for traces matching fewer than
-/// two distinct junctions.
+/// two distinct junctions. `router` and `junction_index` must be built from
+/// `graph` (one of each serves every trace).
 Trajectory MapMatch(const graph::PlanarGraph& graph,
-                    const graph::WeightedAdjacency& adjacency,
+                    const graph::EuclideanRouter& router,
                     const spatial::KdTree& junction_index,
                     const GpsTrace& trace);
 

@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "graph/shortest_path.h"
-#include "graph/weighted_adjacency.h"
 #include "util/logging.h"
 
 namespace innet::mobility {
@@ -60,7 +59,7 @@ std::vector<Trajectory> PerturbTrajectories(
     const PerturbationOptions& options, util::Rng& rng) {
   INNET_CHECK(options.anchor_stride >= 1);
   INNET_CHECK(options.alpha > 0.0 && options.alpha <= 1.0);
-  graph::WeightedAdjacency adjacency = graph::EuclideanAdjacency(graph);
+  graph::EuclideanRouter router(graph);
 
   std::vector<Trajectory> perturbed;
   perturbed.reserve(trajectories.size());
@@ -82,10 +81,8 @@ std::vector<Trajectory> PerturbTrajectories(
     std::vector<graph::NodeId> nodes = {anchors[0]};
     for (size_t i = 0; i + 1 < anchors.size(); ++i) {
       if (anchors[i] == anchors[i + 1]) continue;
-      std::optional<graph::Path> leg =
-          graph::ShortestPath(adjacency, anchors[i], anchors[i + 1]);
-      if (!leg.has_value()) continue;
-      nodes.insert(nodes.end(), leg->nodes.begin() + 1, leg->nodes.end());
+      graph::Path leg = router.Route(anchors[i], anchors[i + 1]);
+      nodes.insert(nodes.end(), leg.nodes.begin() + 1, leg.nodes.end());
     }
     if (nodes.size() < 2) continue;
 

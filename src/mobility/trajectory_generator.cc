@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/shortest_path.h"
-#include "graph/weighted_adjacency.h"
 #include "spatial/kdtree.h"
 #include "util/logging.h"
 
@@ -13,7 +12,7 @@ std::vector<Trajectory> GenerateTrajectories(const graph::PlanarGraph& graph,
                                              const TrajectoryOptions& options,
                                              util::Rng& rng) {
   INNET_CHECK(graph.NumNodes() >= 2);
-  graph::WeightedAdjacency adjacency = graph::EuclideanAdjacency(graph);
+  graph::EuclideanRouter router(graph);
 
   // Hotspots and their neighborhoods.
   spatial::KdTree junction_index(graph.positions());
@@ -51,33 +50,31 @@ std::vector<Trajectory> GenerateTrajectories(const graph::PlanarGraph& graph,
     graph::NodeId origin = draw_endpoint();
     graph::NodeId destination = draw_endpoint();
     if (origin == destination) continue;
-    std::optional<graph::Path> path =
-        graph::ShortestPath(adjacency, origin, destination);
-    if (!path.has_value() || path->nodes.size() < 2) continue;
+    // Routes always exist (a PlanarGraph is connected), so no draw is ever
+    // discarded after this point.
+    graph::Path path = router.Route(origin, destination);
 
     double speed = std::max(1.0, rng.Normal(options.speed_mean,
                                             options.speed_stddev));
     std::vector<graph::NodeId> nodes;
     std::vector<graph::EdgeId> edges;
-    if (options.enter_from_boundary && origin != destination) {
+    if (options.enter_from_boundary) {
       // Drive in from the gateway nearest to the trip origin.
       graph::NodeId gateway =
           gateways[gateway_index.NearestNeighbor(graph.Position(origin))];
       if (gateway != origin) {
-        std::optional<graph::Path> entry =
-            graph::ShortestPath(adjacency, gateway, origin);
-        if (!entry.has_value()) continue;
-        nodes = entry->nodes;
-        edges = entry->edges;
+        graph::Path entry = router.Route(gateway, origin);
+        nodes = std::move(entry.nodes);
+        edges = std::move(entry.edges);
       }
     }
     if (nodes.empty()) {
-      nodes = path->nodes;
-      edges = path->edges;
+      nodes = std::move(path.nodes);
+      edges = std::move(path.edges);
     } else {
       // Concatenate entry leg + trip (entry ends at the trip origin).
-      nodes.insert(nodes.end(), path->nodes.begin() + 1, path->nodes.end());
-      edges.insert(edges.end(), path->edges.begin(), path->edges.end());
+      nodes.insert(nodes.end(), path.nodes.begin() + 1, path.nodes.end());
+      edges.insert(edges.end(), path.edges.begin(), path.edges.end());
     }
 
     Trajectory trajectory;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "core/sensor_network.h"
 #include "forms/frozen_tracking_form.h"
@@ -206,6 +207,81 @@ TEST(SerializeTest, ClaimedCountsBeyondTheFileAreRejected) {
   snapshot = LoadFrozenSnapshot(path);
   ASSERT_FALSE(snapshot.ok());
   EXPECT_EQ(snapshot.status().code(), util::StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+// Writes a road-network file with the given junctions and roads, in the
+// layout SaveRoadNetwork writes: magic, counts, coordinates, endpoints.
+void WriteRawRoadNetwork(
+    const std::string& path, const std::vector<geometry::Point>& positions,
+    const std::vector<std::pair<uint32_t, uint32_t>>& edges) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const uint64_t header[3] = {0x696e6e657447521ull, positions.size(),
+                              edges.size()};
+  std::fwrite(header, sizeof(header), 1, f);
+  for (const geometry::Point& p : positions) {
+    std::fwrite(&p.x, sizeof(double), 1, f);
+    std::fwrite(&p.y, sizeof(double), 1, f);
+  }
+  for (const auto& [u, v] : edges) {
+    std::fwrite(&u, sizeof(u), 1, f);
+    std::fwrite(&v, sizeof(v), 1, f);
+  }
+  std::fclose(f);
+}
+
+// Coordinates that are not finite, roads that cross, or a network in pieces
+// make the file an InvalidArgument instead of an abort in the PlanarGraph
+// constructor.
+TEST(SerializeTest, NonPlanarOrNonFiniteNetworksAreRejected) {
+  std::string path = TempPath("nonplanar.bin");
+  const std::vector<std::pair<uint32_t, uint32_t>> cycle = {
+      {0, 1}, {1, 2}, {2, 3}, {3, 0}};
+  struct Case {
+    const char* name;
+    std::vector<geometry::Point> positions;
+    std::vector<std::pair<uint32_t, uint32_t>> edges;
+  };
+  std::vector<std::pair<uint32_t, uint32_t>> diagonals = cycle;
+  diagonals.emplace_back(0, 2);
+  diagonals.emplace_back(1, 3);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // The crossed square alone has V - E + F = 0; two isolated junctions or a
+  // triangle beside it bring the sum back to 2, so only the connectivity
+  // check rejects these two.
+  std::vector<std::pair<uint32_t, uint32_t>> diagonals_and_triangle =
+      diagonals;
+  diagonals_and_triangle.emplace_back(4, 5);
+  diagonals_and_triangle.emplace_back(5, 6);
+  diagonals_and_triangle.emplace_back(6, 4);
+  const Case cases[] = {
+      {"square with both diagonals", {{0, 0}, {1, 0}, {1, 1}, {0, 1}},
+       diagonals},
+      {"NaN coordinate", {{0, 0}, {1, 0}, {1, nan}, {0, 1}}, cycle},
+      {"inf coordinate", {{0, 0}, {1, 0}, {inf, 1}, {0, 1}}, cycle},
+      {"crossed square plus two isolated junctions",
+       {{0, 0}, {1, 0}, {1, 1}, {0, 1}, {5, 0}, {6, 0}},
+       diagonals},
+      {"crossed square beside a triangle",
+       {{0, 0}, {1, 0}, {1, 1}, {0, 1}, {5, 0}, {6, 0}, {5, 1}},
+       diagonals_and_triangle},
+  };
+  for (const Case& c : cases) {
+    WriteRawRoadNetwork(path, c.positions, c.edges);
+    auto loaded = LoadRoadNetwork(path);
+    ASSERT_FALSE(loaded.ok()) << c.name;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << c.name;
+  }
+
+  // Two junctions at one point (a zero-length road) is a degenerate but
+  // valid embedding: it loads.
+  WriteRawRoadNetwork(path, {{0, 0}, {1, 0}, {1, 1}, {1, 1}}, cycle);
+  auto doubled = LoadRoadNetwork(path);
+  ASSERT_TRUE(doubled.ok()) << doubled.status().ToString();
+  EXPECT_EQ(doubled->EdgeLength(doubled->EdgeBetween(2, 3)), 0.0);
   std::remove(path.c_str());
 }
 

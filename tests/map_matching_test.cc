@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "graph/weighted_adjacency.h"
+#include "graph/shortest_path.h"
 #include "mobility/map_matching.h"
 #include "mobility/road_network.h"
 #include "mobility/trajectory_generator.h"
@@ -16,18 +16,18 @@ struct Fixture {
     options.num_junctions = 200;
     graph = std::make_unique<graph::PlanarGraph>(
         GenerateRoadNetwork(options, rng));
-    adjacency = graph::EuclideanAdjacency(*graph);
+    router = std::make_unique<graph::EuclideanRouter>(*graph);
     index = std::make_unique<spatial::KdTree>(graph->positions());
   }
   util::Rng rng;
   std::unique_ptr<graph::PlanarGraph> graph;
-  graph::WeightedAdjacency adjacency;
+  std::unique_ptr<graph::EuclideanRouter> router;
   std::unique_ptr<spatial::KdTree> index;
 };
 
 TEST(MapMatchingTest, EmptyTrace) {
   Fixture f(1);
-  Trajectory t = MapMatch(*f.graph, f.adjacency, *f.index, GpsTrace{});
+  Trajectory t = MapMatch(*f.graph, *f.router, *f.index, GpsTrace{});
   EXPECT_TRUE(t.nodes.empty());
 }
 
@@ -36,7 +36,7 @@ TEST(MapMatchingTest, StationaryTraceIsEmpty) {
   GpsTrace trace;
   trace.points.assign(5, f.graph->Position(0));
   trace.times = {0, 1, 2, 3, 4};
-  Trajectory t = MapMatch(*f.graph, f.adjacency, *f.index, trace);
+  Trajectory t = MapMatch(*f.graph, *f.router, *f.index, trace);
   EXPECT_TRUE(t.nodes.empty());  // Fewer than two distinct junctions.
 }
 
@@ -59,7 +59,7 @@ TEST(MapMatchingTest, ExactSamplesRecoverPath) {
     trace.points.push_back(f.graph->Position(truth.nodes[i]));
     trace.times.push_back(truth.times[i]);
   }
-  Trajectory matched = MapMatch(*f.graph, f.adjacency, *f.index, trace);
+  Trajectory matched = MapMatch(*f.graph, *f.router, *f.index, trace);
   ASSERT_TRUE(matched.Valid(*f.graph));
   EXPECT_EQ(matched.nodes.front(), truth.nodes.front());
   EXPECT_EQ(matched.nodes.back(), truth.nodes.back());
@@ -83,7 +83,7 @@ TEST_P(NoiseRoundTrip, NoisyTraceMatchesNearTruth) {
     GpsTrace trace = SynthesizeGpsTrace(*f.graph, truth, /*sample_interval=*/20.0,
                                         GetParam(), noise_rng);
     if (trace.points.size() < 2) continue;
-    Trajectory matched = MapMatch(*f.graph, f.adjacency, *f.index, trace);
+    Trajectory matched = MapMatch(*f.graph, *f.router, *f.index, trace);
     if (matched.nodes.empty()) continue;
     EXPECT_TRUE(matched.Valid(*f.graph));
     // Endpoints land near the true endpoints (within a few hundred meters,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 
 #include "graph/connectivity.h"
@@ -152,6 +153,110 @@ TEST(ShortestPathTest, AveragePathHopsPositive) {
   double avg = EstimateAveragePathHops(adj, 20, 99);
   EXPECT_GT(avg, 1.0);
   EXPECT_LT(avg, static_cast<double>(g.NumNodes()));
+}
+
+// The A* router against Dijkstra over the same Euclidean weights, bit for
+// bit: the same nodes, the same edges and the same cost bit pattern. Returns
+// the number of pairs that differ, and names the first.
+size_t RouteMismatches(const PlanarGraph& g,
+                       const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  WeightedAdjacency adj = EuclideanAdjacency(g);
+  EuclideanRouter router(g);
+  size_t mismatches = 0;
+  for (const auto& [src, dst] : pairs) {
+    std::optional<Path> want = ShortestPath(adj, src, dst);
+    Path got = router.Route(src, dst);
+    EXPECT_TRUE(want.has_value());
+    if (!want.has_value()) continue;
+    uint64_t got_bits = 0;
+    uint64_t want_bits = 0;
+    std::memcpy(&got_bits, &got.cost, sizeof(got_bits));
+    std::memcpy(&want_bits, &want->cost, sizeof(want_bits));
+    if (got.nodes == want->nodes && got.edges == want->edges &&
+        got_bits == want_bits) {
+      continue;
+    }
+    if (mismatches++ == 0) {
+      ADD_FAILURE() << "router and Dijkstra differ on " << src << " -> "
+                    << dst << " (" << g.NumNodes() << " junctions)";
+    }
+  }
+  return mismatches;
+}
+
+struct OracleWorld {
+  size_t junctions;
+  double world_size;
+  uint64_t seed;
+};
+
+void PrintTo(const OracleWorld& world, std::ostream* os) {
+  *os << world.junctions << " junctions, seed " << world.seed;
+}
+
+class RouterOracle : public ::testing::TestWithParam<OracleWorld> {};
+
+// 2,000 seeded pairs per generated network, plus every node to itself and
+// both directions of every 7th edge.
+TEST_P(RouterOracle, MatchesDijkstraBitForBit) {
+  const OracleWorld& world = GetParam();
+  util::Rng rng(world.seed);
+  mobility::RoadNetworkOptions options;
+  options.num_junctions = world.junctions;
+  options.world_size = world.world_size;
+  PlanarGraph g = mobility::GenerateRoadNetwork(options, rng);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  util::Rng pair_rng(world.seed + 1);
+  for (int i = 0; i < 2000; ++i) {
+    pairs.emplace_back(
+        static_cast<NodeId>(pair_rng.UniformIndex(g.NumNodes())),
+        static_cast<NodeId>(pair_rng.UniformIndex(g.NumNodes())));
+  }
+  for (NodeId n = 0; n < g.NumNodes(); n += 5) pairs.emplace_back(n, n);
+  for (EdgeId e = 0; e < g.NumEdges(); e += 7) {
+    pairs.emplace_back(g.Edge(e).u, g.Edge(e).v);
+    pairs.emplace_back(g.Edge(e).v, g.Edge(e).u);
+  }
+  EXPECT_EQ(RouteMismatches(g, pairs), 0u);
+}
+
+// The sizes of the CI fixture and headline --tiny (120), the test worlds
+// (250), the kernel report (400) and perfbench's city (2,500).
+INSTANTIATE_TEST_SUITE_P(
+    GeneratedNetworks, RouterOracle,
+    ::testing::Values(OracleWorld{120, 8000.0, 3},
+                      OracleWorld{250, 10000.0, 51},
+                      OracleWorld{400, 10000.0, 99},
+                      OracleWorld{2500, 30000.0, 42}));
+
+TEST(RouterTest, SourceEqualsTargetIsOneNode) {
+  util::Rng rng(5);
+  mobility::RoadNetworkOptions options;
+  options.num_junctions = 120;
+  PlanarGraph g = mobility::GenerateRoadNetwork(options, rng);
+  Path path = EuclideanRouter(g).Route(17, 17);
+  EXPECT_EQ(path.nodes, (std::vector<NodeId>{17}));
+  EXPECT_TRUE(path.edges.empty());
+  EXPECT_EQ(path.cost, 0.0);
+}
+
+TEST(RouterTest, ZeroLengthEdge) {
+  // A square whose corner 2 is doubled by junction 4 at the same point: the
+  // 2-4 road has length zero, and the heuristic is equal at both ends.
+  std::vector<geometry::Point> positions = {
+      {0, 0}, {10, 0}, {10, 10}, {0, 10}, {10, 10}, {5, 3}};
+  std::vector<std::pair<NodeId, NodeId>> edges = {
+      {0, 1}, {1, 2}, {2, 4}, {4, 3}, {3, 0}, {0, 5}, {5, 2}};
+  PlanarGraph g(std::move(positions), std::move(edges));
+  ASSERT_EQ(g.EdgeLength(g.EdgeBetween(2, 4)), 0.0);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId a = 0; a < g.NumNodes(); ++a) {
+    for (NodeId b = 0; b < g.NumNodes(); ++b) pairs.emplace_back(a, b);
+  }
+  EXPECT_EQ(RouteMismatches(g, pairs), 0u);
+  Path across = EuclideanRouter(g).Route(4, 1);
+  EXPECT_EQ(across.nodes, (std::vector<NodeId>{4, 2, 1}));
+  EXPECT_EQ(across.cost, 10.0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -453,17 +454,23 @@ TEST(FlightRecorderTest, NotesSurviveToParseableDump) {
 
   ASSERT_TRUE(recorder.DumpNow("unit-test"));
 
-  // Exactly one flight-<pid>-<seq>.json appears in the fresh directory.
+  // Exactly one flight-<pid>-<seq>.json appears in the fresh directory. The
+  // global recorder's sequence number keeps growing across dumps (and test
+  // repeats), so the dump is found by listing, not by guessing <seq>.
   std::string path;
   {
-    std::string prefix =
-        std::string(dir) + "/flight-" + std::to_string(getpid()) + "-";
-    for (int seq = 0; seq < 16 && path.empty(); ++seq) {
-      std::string candidate = prefix + std::to_string(seq) + ".json";
-      if (access(candidate.c_str(), R_OK) == 0) path = candidate;
+    std::string prefix = "flight-" + std::to_string(getpid()) + "-";
+    size_t dumps = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      std::string name = entry.path().filename().string();
+      if (name.rfind(prefix, 0) != 0 || entry.path().extension() != ".json") {
+        continue;
+      }
+      ++dumps;
+      path = entry.path().string();
     }
+    ASSERT_EQ(dumps, 1u) << "expected one flight dump under " << dir;
   }
-  ASSERT_FALSE(path.empty()) << "no flight dump under " << dir;
 
   std::ifstream in(path);
   std::stringstream contents;
@@ -491,7 +498,7 @@ TEST(FlightRecorderTest, NotesSurviveToParseableDump) {
   }
   ASSERT_TRUE(recorder.DumpNow("unit-test-wrap"));
 
-  unlink(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // The TSan CI job runs this binary: scrapes must be clean against live
